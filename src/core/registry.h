@@ -103,13 +103,13 @@ struct LeaderSnapshot {
   /// congruent with pre-crash ones. Serialized from format v2 on; a v1
   /// snapshot simply restores with no hints.
   std::uint32_t keytree_depth = 0;
-  std::map<std::string, std::uint32_t> keytree_slots;
+  std::map<std::string, std::uint32_t> keytree_slots{};
 
   /// Members on parole at snapshot time (expelled-but-reconcilable,
   /// PROTOCOL.md §12). Serialized from format v3 on; older snapshots
   /// restore with an empty list — reconciliation-on-heal then falls back
   /// to the standard quarantine + rejoin path, never to acceptance.
-  std::map<std::string, ParoleRecord> parole;
+  std::map<std::string, ParoleRecord> parole{};
 
   /// Versioned binary format, HMAC-SHA256-sealed under `storage_key` (the
   /// nested registry blob carries its own MAC as well).

@@ -1,4 +1,5 @@
 // ChaCha20-Poly1305 AEAD construction (RFC 8439 §2.8).
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -18,11 +19,19 @@ void store_le64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-Poly1305::Tag compute_tag(BytesView key, BytesView nonce, BytesView aad,
-                          BytesView ciphertext) {
-  // One-time Poly1305 key = first 32 bytes of ChaCha20 block 0.
-  auto block0 = ChaCha20::block(key, nonce, 0);
-  Poly1305 mac(BytesView{block0.data(), 32});
+// Draws keystream block 0 (counter 0), whose first 32 bytes are the
+// one-time Poly1305 key, and leaves `cipher` at block 1, where the data
+// starts. Key and data come from one stream, so a short message costs one
+// multi-block keystream call rather than a separate block for the key.
+std::array<std::uint8_t, 64> draw_block0(ChaCha20& cipher) {
+  std::array<std::uint8_t, 64> block0{};
+  cipher.apply(block0.data(), block0.size());
+  return block0;
+}
+
+Poly1305::Tag compute_tag(const std::array<std::uint8_t, 64>& block0,
+                          BytesView aad, BytesView ciphertext) {
+  Poly1305 mac(BytesView{block0.data(), Poly1305::kKeySize});
 
   static constexpr std::uint8_t kZeros[15] = {};
   mac.update(aad);
@@ -49,10 +58,14 @@ class ChaCha20Poly1305 final : public Aead {
     obs::prof_bytes(plaintext.size());
     obs::count("crypto", name(), "seals_total");
     obs::count("crypto", name(), "sealed_bytes_total", plaintext.size());
-    ChaCha20 cipher(key, nonce, 1);
-    Bytes out = cipher.transform(plaintext);
-    auto tag = compute_tag(key, nonce, aad, out);
-    out.insert(out.end(), tag.begin(), tag.end());
+    Bytes out(plaintext.size() + kTagSize);
+    if (!plaintext.empty())
+      std::memcpy(out.data(), plaintext.data(), plaintext.size());
+    ChaCha20 cipher(key, nonce, 0);
+    const auto block0 = draw_block0(cipher);
+    cipher.apply(out.data(), plaintext.size());
+    auto tag = compute_tag(block0, aad, {out.data(), plaintext.size()});
+    std::memcpy(out.data() + plaintext.size(), tag.data(), kTagSize);
     return out;
   }
 
@@ -67,14 +80,15 @@ class ChaCha20Poly1305 final : public Aead {
       return make_error(Errc::truncated, "aead ciphertext shorter than tag");
     BytesView body = ct.subspan(0, ct.size() - kTagSize);
     BytesView tag = ct.subspan(ct.size() - kTagSize);
-    auto expect = compute_tag(key, nonce, aad, body);
+    ChaCha20 cipher(key, nonce, 0);
+    const auto block0 = draw_block0(cipher);
+    auto expect = compute_tag(block0, aad, body);
     if (!ct_equal({expect.data(), expect.size()}, tag)) {
       obs::count("crypto", name(), "open_failures_total");
       obs::security_event(0, obs::EvidenceKind::aead_open_failure,
                           "crypto", name(), {}, "poly1305 tag mismatch");
       return make_error(Errc::auth_failed, "poly1305 tag mismatch");
     }
-    ChaCha20 cipher(key, nonce, 1);
     return cipher.transform(body);
   }
 };

@@ -1,12 +1,16 @@
 // Differential testing of the from-scratch primitives against OpenSSL:
-// ChaCha20 keystreams via EVP_chacha20, Poly1305 tags via EVP_MAC, and the
-// combined AEAD via EVP_chacha20_poly1305, over randomized inputs and the
-// block-boundary edge sizes.
+// ChaCha20 keystreams via EVP_chacha20 (the scalar, 4-lane and 8-lane
+// kernels each on their own, and the streaming cipher), Poly1305 tags via
+// EVP_MAC, and the combined AEAD via EVP_chacha20_poly1305, over randomized
+// inputs and the block- and lane-boundary edge sizes.
 #include <gtest/gtest.h>
 #include <openssl/evp.h>
 
+#include <algorithm>
+
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
+#include "crypto/chacha20_kernels.h"
 #include "crypto/poly1305.h"
 #include "util/hex.h"
 #include "util/rng.h"
@@ -65,10 +69,65 @@ TEST_P(ChaChaCross, KeystreamMatchesOpenSsl) {
   EXPECT_EQ(mine.transform(msg), openssl_chacha20(key, nonce, 1, msg));
 }
 
+// Lane boundaries: 192 is what one 4-lane call leaves after the AEAD's
+// block 0; 256 and 512 are whole 4- and 8-lane calls; 576 is 64 + 512.
+constexpr std::size_t kLaneEdgeSizes[] = {191, 192, 193, 255, 256, 257,
+                                          511, 512, 513, 575, 576, 16384,
+                                          16384 + 13};
+
 INSTANTIATE_TEST_SUITE_P(Sizes, ChaChaCross,
                          ::testing::Values<std::size_t>(0, 1, 63, 64, 65,
                                                         127, 128, 129, 1000,
                                                         65536));
+INSTANTIATE_TEST_SUITE_P(LaneEdges, ChaChaCross,
+                         ::testing::ValuesIn(kLaneEdgeSizes));
+
+// Each kernel, called directly, against OpenSSL's keystream for the same
+// counter run (keystream = encryption of zeros).
+class ChaChaKernelCross : public ::testing::TestWithParam<std::uint32_t> {
+ protected:
+  void check(std::size_t blocks, detail::ChaChaBlocksFn kernel) {
+    DeterministicRng rng(GetParam() * 7 + blocks);
+    Bytes key = rng.bytes(32), nonce = rng.bytes(12);
+    auto state = detail::chacha_state(key, nonce, GetParam());
+    Bytes got(64 * blocks);
+    kernel(state.data(), got.data());
+    EXPECT_EQ(got, openssl_chacha20(key, nonce, GetParam(), Bytes(got.size())));
+  }
+};
+
+TEST_P(ChaChaKernelCross, ScalarBlock) { check(1, detail::chacha_block); }
+
+TEST_P(ChaChaKernelCross, FourLane) { check(4, detail::chacha_blocks4); }
+
+TEST_P(ChaChaKernelCross, EightLane) {
+  if (detail::chacha_blocks8() == nullptr)
+    GTEST_SKIP() << "no AVX2 on this CPU or target";
+  check(8, detail::chacha_blocks8());
+}
+
+INSTANTIATE_TEST_SUITE_P(Counters, ChaChaKernelCross,
+                         ::testing::Values<std::uint32_t>(0, 1, 2, 77));
+
+TEST(ChaChaCross, RandomChunkStreamingMatchesOpenSsl) {
+  // The first chunk leaves the stream mid-block; later chunks of up to 1100
+  // bytes cross 4- and 8-lane runs and the carried buffer at every offset.
+  DeterministicRng rng(41);
+  for (int trial = 0; trial < 10; ++trial) {
+    Bytes key = rng.bytes(32), nonce = rng.bytes(12);
+    Bytes msg = rng.bytes(8192 + rng.below(64));
+    Bytes expect = openssl_chacha20(key, nonce, 1, msg);
+    ChaCha20 stream(key, nonce, 1);
+    std::size_t off = 0;
+    while (off < msg.size()) {
+      std::size_t n = off == 0 ? 1 + rng.below(63) : rng.below(1101);
+      n = std::min(n, msg.size() - off);
+      stream.apply(msg.data() + off, n);
+      off += n;
+    }
+    EXPECT_EQ(msg, expect) << "trial " << trial;
+  }
+}
 
 TEST(ChaChaCross, CounterZeroAlsoMatches) {
   DeterministicRng rng(2);
@@ -105,6 +164,52 @@ TEST(PolyCross, AllOnesEdgeInputs) {
   }
 }
 
+// Poly1305 key whose r is `r` (before clamping) and whose s is `s_fill`.
+Bytes poly_key(std::uint64_t r_lo, std::uint64_t r_hi, std::uint8_t s_fill) {
+  Bytes key(32, s_fill);
+  for (int i = 0; i < 8; ++i) {
+    key[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(r_lo >> (8 * i));
+    key[static_cast<std::size_t>(8 + i)] =
+        static_cast<std::uint8_t>(r_hi >> (8 * i));
+  }
+  return key;
+}
+
+TEST(PolyCross, MaximallyClampedRWithAllOnesBlocks) {
+  // r = 0x0ffffffc0ffffffc0ffffffc0fffffff after clamping: the largest limb
+  // products and carries in every step.
+  for (std::uint8_t s_fill : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+    Bytes key = poly_key(~0ull, ~0ull, s_fill);
+    for (std::size_t len : {1u, 15u, 16u, 17u, 64u, 1000u, 4096u, 16384u}) {
+      Bytes msg(len, 0xFF);
+      auto mine = Poly1305::mac(key, msg);
+      EXPECT_EQ(Bytes(mine.begin(), mine.end()), openssl_poly1305(key, msg))
+          << "s=" << int(s_fill) << " len=" << len;
+    }
+  }
+}
+
+TEST(PolyCross, AccumulatorAtOrAbovePBeforeFinalReduction) {
+  // With r = 1, h after two full blocks is their sum, each 2^128 + m. Two
+  // all-0xFF blocks give h = 2^130 - 2 >= p = 2^130 - 5; a second block
+  // ending in 0xFC gives h = p exactly, 0xFB gives p - 1 (no reduction).
+  const Bytes key = poly_key(1, 0, 0xFF);
+  for (std::uint8_t low : {std::uint8_t{0xFF}, std::uint8_t{0xFE},
+                           std::uint8_t{0xFC}, std::uint8_t{0xFB}}) {
+    Bytes msg(32, 0xFF);
+    msg[16] = low;
+    auto mine = Poly1305::mac(key, msg);
+    EXPECT_EQ(Bytes(mine.begin(), mine.end()), openssl_poly1305(key, msg))
+        << "second block low byte " << int(low);
+  }
+  // Same near-p accumulator, then a partial block on top.
+  Bytes msg(40, 0xFF);
+  msg[16] = 0xFC;
+  auto mine = Poly1305::mac(key, msg);
+  EXPECT_EQ(Bytes(mine.begin(), mine.end()), openssl_poly1305(key, msg));
+}
+
 class AeadCross : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(AeadCross, SealedOutputMatchesOpenSslChaChaPoly) {
@@ -137,6 +242,8 @@ TEST_P(AeadCross, SealedOutputMatchesOpenSslChaChaPoly) {
 INSTANTIATE_TEST_SUITE_P(Sizes, AeadCross,
                          ::testing::Values<std::size_t>(0, 1, 16, 64, 1000,
                                                         32768));
+INSTANTIATE_TEST_SUITE_P(LaneEdges, AeadCross,
+                         ::testing::ValuesIn(kLaneEdgeSizes));
 
 TEST(AeadCross, OpenSslCanOpenOurSeals) {
   DeterministicRng rng(9);
