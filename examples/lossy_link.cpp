@@ -1,9 +1,9 @@
 // Lossy-link demo: the protocol over a network that drops 40% of all
 // packets. Narrates every retransmission round and shows the group
 // converging anyway — the liveness layer (byte-identical resends +
-// idempotent duplicate answers) at work, with the audit log proving that
-// none of the duplicates were mistaken for intrusions... and the reject
-// counters showing which ones were (harmlessly) turned away.
+// idempotent duplicate answers) at work, with the security ledger proving
+// that none of the duplicates were mistaken for intrusions... and the
+// reject counters showing which ones were (harmlessly) turned away.
 //
 // Run: ./build/examples/lossy_link
 //

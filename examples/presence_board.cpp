@@ -12,12 +12,16 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "app/group_chat.h"
 #include "core/leader.h"
 #include "core/registry.h"
 #include "crypto/x25519.h"
 #include "net/sim_network.h"
+#include "net/trace_chart.h"
+#include "obs/security.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 using namespace enclaves;
@@ -41,6 +45,12 @@ int main() {
 
   OsRng rng;
   net::SimNetwork net;
+  // The leader's trail: lifecycle events in the trace, refused inputs in
+  // the security ledger.
+  obs::TraceLog trace;
+  obs::ScopedTraceSink trace_sink(trace);
+  obs::SecurityLedger ledger;
+  obs::ScopedSecurityLedger ledger_sink(ledger);
 
   // --- Key pairs. In a deployment each party generates its own and shares
   // only the PUBLIC half with the leader; no password ever exists.
@@ -116,9 +126,19 @@ int main() {
   print_board("barbara", *chats["barbara"]);
   std::printf("  edsger's own client knows: connected=%s\n",
               chats["edsger"]->connected() ? "true" : "false");
-  std::printf("\nfinal epoch %llu (rekeyed on expulsion), audit trail:\n",
+  std::printf("\nfinal epoch %llu (rekeyed on expulsion)\n",
               static_cast<unsigned long long>(leader.epoch()));
-  for (const auto& ev : leader.audit().recent(6))
-    std::printf("  %s\n", ev.to_string().c_str());
+  std::printf("leader stats: %s\n", leader.stats().to_string().c_str());
+  std::vector<obs::TraceEvent> lifecycle;  // the leader's joins, rekeys, ...
+  for (auto& ev : trace.events()) {
+    if (ev.agent == "L" &&
+        (ev.kind == obs::TraceKind::join || ev.kind == obs::TraceKind::leave ||
+         ev.kind == obs::TraceKind::expel || ev.kind == obs::TraceKind::rekey))
+      lifecycle.push_back(std::move(ev));
+  }
+  std::printf("leader lifecycle tail:\n%s",
+              net::format_event_chart_tail(lifecycle, 6).c_str());
+  std::printf("security ledger: %zu refusals\n%s", ledger.size(),
+              ledger.to_jsonl().c_str());
   return 0;
 }

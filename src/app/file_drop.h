@@ -1,7 +1,7 @@
 // FileDrop — chunked blob transfer over the Enclaves data plane.
 //
 // Groupware needs to move artifacts, not just chat lines; data-plane
-// envelopes are bounded (UDP datagrams, codec field caps), so blobs are
+// envelopes are bounded (codec field caps, frame limits), so blobs are
 // split into chunks, reassembled per (origin, transfer id), and verified
 // against the announced SHA-256 before delivery. Chunks may arrive
 // interleaved across concurrent transfers; a corrupted or truncated

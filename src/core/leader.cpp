@@ -48,6 +48,13 @@ void Leader::send(const std::string& to, wire::Envelope e) {
   if (send_) send_(to, std::move(e));
 }
 
+void Leader::refuse(Refusal plane, obs::EvidenceKind kind,
+                    std::string_view accused, std::string_view detail,
+                    std::uint64_t value) {
+  refusals_.record(clock_.now(), config_.id, config_.id, plane, kind, accused,
+                   detail, value);
+}
+
 void Leader::handle(const wire::Envelope& e) {
   PROF_SCOPE("leader/handle");
   if (e.label == wire::Label::GroupData) {
@@ -72,10 +79,8 @@ void Leader::handle(const wire::Envelope& e) {
   if (e.label == wire::Label::AuthInitReq && policy_) {
     auto decision = policy_->may_join(e.sender, members_.size());
     if (!decision.allow) {
-      audit_.record(AuditKind::join_denied, e.sender, decision.reason);
-      obs::count(config_.id, config_.id, "join_denials_total");
-      obs::security_event(clock_.now(), obs::EvidenceKind::join_denied,
-                          config_.id, config_.id, e.sender, decision.reason);
+      refuse(Refusal::join_denied, obs::EvidenceKind::join_denied, e.sender,
+             decision.reason);
       return;
     }
   }
@@ -86,12 +91,8 @@ void Leader::handle(const wire::Envelope& e) {
   if (it == sessions_.end()) {
     ENCLAVES_LOG(debug) << config_.id << ": envelope from unknown sender "
                         << e.sender;
-    ++relay_rejects_;
-    audit_.record(AuditKind::auth_reject, e.sender, "unknown sender");
-    obs::count(config_.id, config_.id, "auth_rejects_total");
-    obs::security_event(clock_.now(), obs::EvidenceKind::unknown_sender,
-                        config_.id, config_.id, e.sender,
-                        wire::label_name(e.label));
+    refuse(Refusal::unknown_sender, obs::EvidenceKind::unknown_sender,
+           e.sender, wire::label_name(e.label));
     return;
   }
   LeaderSession& session = *it->second;
@@ -100,16 +101,9 @@ void Leader::handle(const wire::Envelope& e) {
   const LeaderSession::State pre = session.state();
   auto outcome = session.handle(e);
   if (!outcome) {
-    // Rejected input: already tallied by the session; surface it to the
-    // audit trail with the label and reason.
-    audit_.record(AuditKind::auth_reject, member_id,
-                  std::string(wire::label_name(e.label)) + ": " +
-                      outcome.error().to_string());
-    obs::count(config_.id, config_.id, "auth_rejects_total");
-    obs::security_event(clock_.now(),
-                        obs::evidence_kind_for(outcome.error().code),
-                        config_.id, config_.id, e.sender,
-                        wire::label_name(e.label));
+    // Rejected input: already tallied by the session.
+    refuse(Refusal::auth, obs::evidence_kind_for(outcome.error().code),
+           e.sender, wire::label_name(e.label));
     return;
   }
 
@@ -148,7 +142,7 @@ void Leader::handle(const wire::Envelope& e) {
   if (outcome->reply) send(member_id, *std::move(outcome->reply));
   if (outcome->authenticated) handle_member_authenticated(member_id);
   if (outcome->closed) {
-    audit_.record(AuditKind::member_left, member_id);
+    ++leaves_;
     obs::count(config_.id, config_.id, "leaves_total");
     obs::trace(clock_.now(), obs::TraceKind::leave, config_.id, config_.id,
                member_id,
@@ -180,7 +174,7 @@ void Leader::handle_member_authenticated(const std::string& member_id) {
   PROF_SCOPE("leader/join/admit");
   members_.insert(member_id);
   ENCLAVES_LOG(info) << config_.id << ": " << member_id << " joined";
-  audit_.record(AuditKind::member_joined, member_id);
+  ++joins_;
   obs::count(config_.id, config_.id, "joins_total");
   obs::gauge_set(config_.id, config_.id, "members",
                  static_cast<std::int64_t>(members_.size()));
@@ -266,33 +260,28 @@ void Leader::handle_member_closed(const std::string& member_id) {
 
 void Leader::handle_group_data(const wire::Envelope& e) {
   PROF_SCOPE("leader/relay");
-  auto relay_reject = [this, &e](const char* why) {
-    ++relay_rejects_;
-    audit_.record(AuditKind::relay_reject, e.sender, why);
-    obs::count(config_.id, config_.id, "relay_rejects_total");
-    obs::trace(clock_.now(), obs::TraceKind::data_reject, config_.id,
-               config_.id, e.sender, why);
-    obs::security_event(clock_.now(), obs::EvidenceKind::relay_reject,
-                        config_.id, config_.id, e.sender, why);
-  };
   if (!kg_initialized_) {
-    relay_reject("no group key yet");
+    refuse(Refusal::relay, obs::EvidenceKind::relay_reject, e.sender,
+           "no group key yet");
     return;
   }
   // Only current members may publish to the group.
   if (!members_.count(e.sender)) {
-    relay_reject("not a member");
+    refuse(Refusal::relay, obs::EvidenceKind::relay_reject, e.sender,
+           "not a member");
     return;
   }
   auto plain = wire::open_sealed(aead_, kg_.view(), e);
   if (!plain) {
     // Wrong epoch key or forged: either way the relay refuses it.
-    relay_reject("does not open under current Kg");
+    refuse(Refusal::relay, obs::EvidenceKind::relay_reject, e.sender,
+           "does not open under current Kg");
     return;
   }
   auto payload = wire::decode_group_data(*plain);
   if (!payload || payload->epoch != epoch_ || payload->origin != e.sender) {
-    relay_reject("stale epoch or origin mismatch");
+    refuse(Refusal::relay, obs::EvidenceKind::relay_reject, e.sender,
+           "stale epoch or origin mismatch");
     return;
   }
 
@@ -342,7 +331,7 @@ void Leader::rekey() {
 
 void Leader::note_rekey() {
   ENCLAVES_LOG(info) << config_.id << ": rekey to epoch " << epoch_;
-  audit_.record(AuditKind::rekey, {}, "epoch " + std::to_string(epoch_));
+  ++rekeys_;
   obs::count(config_.id, config_.id, "rekeys_total");
   obs::gauge_set(config_.id, config_.id, "epoch",
                  static_cast<std::int64_t>(epoch_));
@@ -470,34 +459,31 @@ void Leader::broadcast_keytree(const wire::KeyTreeUpdatePayload& payload) {
 }
 
 void Leader::handle_keytree_recover(const wire::Envelope& e) {
-  auto reject = [this, &e](obs::EvidenceKind kind, const char* why) {
-    audit_.record(AuditKind::auth_reject, e.sender, why);
-    obs::count(config_.id, config_.id, "auth_rejects_total");
-    obs::security_event(clock_.now(), kind, config_.id, config_.id, e.sender,
-                        why);
-  };
   if (!tree_mode() || !tree_ || !members_.count(e.sender)) {
-    reject(obs::EvidenceKind::bad_label, "keytree recover without a leaf");
+    refuse(Refusal::auth, obs::EvidenceKind::bad_label, e.sender,
+           "keytree recover without a leaf");
     return;
   }
   const crypto::GroupKey* kek = tree_->leaf_kek(e.sender);
   if (!kek) {
-    reject(obs::EvidenceKind::bad_label, "keytree recover without a leaf");
+    refuse(Refusal::auth, obs::EvidenceKind::bad_label, e.sender,
+           "keytree recover without a leaf");
     return;
   }
   auto plain = wire::open_sealed(aead_, kek->view(), e);
   if (!plain) {
-    reject(obs::EvidenceKind::aead_open_failure,
+    refuse(Refusal::auth, obs::EvidenceKind::aead_open_failure, e.sender,
            "recover does not open under the leaf KEK");
     return;
   }
   auto p = wire::decode_keytree_recover(*plain);
   if (!p) {
-    reject(obs::EvidenceKind::malformed, "malformed keytree recover");
+    refuse(Refusal::auth, obs::EvidenceKind::malformed, e.sender,
+           "malformed keytree recover");
     return;
   }
   if (p->a != e.sender || p->l != config_.id) {
-    reject(obs::EvidenceKind::identity_mismatch,
+    refuse(Refusal::auth, obs::EvidenceKind::identity_mismatch, e.sender,
            "keytree recover identity mismatch");
     return;
   }
@@ -547,7 +533,7 @@ Result<crypto::SessionKey> Leader::expel(const std::string& member_id,
     grant_parole(member_id, *old_key);
   else
     revoke_parole(member_id);
-  audit_.record(AuditKind::member_expelled, member_id, reason);
+  ++expulsions_;
   obs::count(config_.id, config_.id, "expulsions_total");
   obs::trace(clock_.now(), obs::TraceKind::expel, config_.id, config_.id,
              member_id, reason);
@@ -572,7 +558,7 @@ void Leader::shutdown_group(const std::string& reason) {
   // Second pass: close every session.
   for (const auto& [id, session] : sessions_) {
     if (session->in_session()) {
-      audit_.record(AuditKind::member_expelled, id, reason);
+      ++expulsions_;
       obs::count(config_.id, config_.id, "expulsions_total");
       if (session->pending_retransmit())
         obs::count(config_.id, config_.id, "exchanges_abandoned_total");
@@ -646,33 +632,29 @@ void Leader::send_reconcile_verdict(const std::string& member_id,
 }
 
 void Leader::handle_reconcile_offer(const wire::Envelope& e) {
-  auto reject = [this, &e](obs::EvidenceKind kind, const char* why) {
-    audit_.record(AuditKind::auth_reject, e.sender, why);
-    obs::count(config_.id, config_.id, "auth_rejects_total");
-    obs::security_event(clock_.now(), kind, config_.id, config_.id, e.sender,
-                        why);
-  };
   auto it = parole_.find(e.sender);
   if (config_.parole_epochs == 0 || it == parole_.end()) {
     // Silent, like a denied join: there is no authenticated channel to
     // carry a refusal, and an unauthenticated one would be forgeable.
-    reject(obs::EvidenceKind::bad_label, "reconcile offer without parole");
+    refuse(Refusal::auth, obs::EvidenceKind::bad_label, e.sender,
+           "reconcile offer without parole");
     return;
   }
   Parole& parole = it->second;
   auto plain = wire::open_sealed(aead_, parole.kr.view(), e);
   if (!plain) {
-    reject(obs::EvidenceKind::aead_open_failure,
+    refuse(Refusal::auth, obs::EvidenceKind::aead_open_failure, e.sender,
            "offer does not open under parole Kr");
     return;
   }
   auto p = wire::decode_reconcile_offer(*plain);
   if (!p) {
-    reject(obs::EvidenceKind::malformed, "malformed reconcile offer");
+    refuse(Refusal::auth, obs::EvidenceKind::malformed, e.sender,
+           "malformed reconcile offer");
     return;
   }
   if (p->a != e.sender || p->l != config_.id) {
-    reject(obs::EvidenceKind::identity_mismatch,
+    refuse(Refusal::auth, obs::EvidenceKind::identity_mismatch, e.sender,
            "reconcile offer identity mismatch");
     return;
   }
@@ -743,32 +725,28 @@ void Leader::handle_reconcile_offer(const wire::Envelope& e) {
 }
 
 void Leader::handle_op_replay(const wire::Envelope& e) {
-  auto reject = [this, &e](obs::EvidenceKind kind, const char* why) {
-    audit_.record(AuditKind::auth_reject, e.sender, why);
-    obs::count(config_.id, config_.id, "auth_rejects_total");
-    obs::security_event(clock_.now(), kind, config_.id, config_.id, e.sender,
-                        why);
-  };
   auto it = parole_.find(e.sender);
   if (it == parole_.end()) {
-    reject(obs::EvidenceKind::bad_label,
+    refuse(Refusal::auth, obs::EvidenceKind::bad_label, e.sender,
            "op replay without active reconciliation");
     return;
   }
   Parole& parole = it->second;
   auto plain = wire::open_sealed(aead_, parole.kr.view(), e);
   if (!plain) {
-    reject(obs::EvidenceKind::aead_open_failure,
+    refuse(Refusal::auth, obs::EvidenceKind::aead_open_failure, e.sender,
            "op does not open under parole Kr");
     return;
   }
   auto p = wire::decode_op_replay(*plain);
   if (!p) {
-    reject(obs::EvidenceKind::malformed, "malformed op replay");
+    refuse(Refusal::auth, obs::EvidenceKind::malformed, e.sender,
+           "malformed op replay");
     return;
   }
   if (p->a != e.sender) {
-    reject(obs::EvidenceKind::identity_mismatch, "op replay origin mismatch");
+    refuse(Refusal::auth, obs::EvidenceKind::identity_mismatch, e.sender,
+           "op replay origin mismatch");
     return;
   }
   if (p->seq < parole.expected_seq) {
@@ -783,7 +761,7 @@ void Leader::handle_op_replay(const wire::Envelope& e) {
     return;
   }
   if (!parole.active) {
-    reject(obs::EvidenceKind::bad_label,
+    refuse(Refusal::auth, obs::EvidenceKind::bad_label, e.sender,
            "op replay without active reconciliation");
     return;
   }
@@ -791,38 +769,25 @@ void Leader::handle_op_replay(const wire::Envelope& e) {
   // Anything beyond this point that fails is not staleness but forgery: the
   // frame opened under Kr yet contradicts the HMAC chain the offer
   // committed to. Evidence goes to the ledger and the replay is refused.
-  auto flag_intrusion = [this, &e, &parole](const char* why,
-                                            std::uint64_t seq) {
-    audit_.record(AuditKind::auth_reject, e.sender, why);
-    obs::count(config_.id, config_.id, "reconcile_intrusions_total");
-    obs::security_event(clock_.now(), obs::EvidenceKind::forged_oplog,
-                        config_.id, config_.id, e.sender, why, seq);
-    // Flight-recorder incident hook: a broken op-log HMAC chain is direct
-    // intrusion evidence, not noise — dump the window around it.
-    obs::flight_incident(clock_.now(), "forged_oplog", config_.id,
-                         config_.id);
+  const auto want =
+      OpLog::chain_next(parole.kr.view(), parole.chain, p->seq, p->epoch,
+                        p->payload);
+  const char* forged = nullptr;
+  if (p->seq != parole.expected_seq)
+    forged = "op seq skips ahead of the verified chain";
+  else if (p->epoch != parole.fence_epoch)
+    forged = "op epoch differs from the offered fence";
+  else if (want != p->mac)
+    forged = "op MAC breaks the HMAC chain";
+  else if (p->seq == parole.oplog_len && want != parole.offered_head)
+    forged = "final op does not close the offered head";
+  if (forged) {
+    refuse(Refusal::forged_oplog, obs::EvidenceKind::forged_oplog, e.sender,
+           forged, p->seq);
     parole.active = false;
     send_reconcile_verdict(e.sender, parole,
                            wire::ReconcileVerdictKind::intrusion,
                            parole.expected_seq - 1);
-  };
-  if (p->seq != parole.expected_seq) {
-    flag_intrusion("op seq skips ahead of the verified chain", p->seq);
-    return;
-  }
-  if (p->epoch != parole.fence_epoch) {
-    flag_intrusion("op epoch differs from the offered fence", p->seq);
-    return;
-  }
-  const auto want =
-      OpLog::chain_next(parole.kr.view(), parole.chain, p->seq, p->epoch,
-                        p->payload);
-  if (want != p->mac) {
-    flag_intrusion("op MAC breaks the HMAC chain", p->seq);
-    return;
-  }
-  if (p->seq == parole.oplog_len && want != parole.offered_head) {
-    flag_intrusion("final op does not close the offered head", p->seq);
     return;
   }
 
@@ -928,7 +893,7 @@ std::vector<std::string> Leader::expel_stalled(std::uint32_t attempts) {
       obs::count(config_.id, config_.id, "exchanges_abandoned_total");
     if (members_.count(id)) {
       // A real member gone quiet: full expulsion (announce + rekey policy).
-      audit_.record(AuditKind::member_expelled, id, "stalled");
+      ++expulsions_;
       obs::count(config_.id, config_.id, "expulsions_total");
       obs::trace(clock_.now(), obs::TraceKind::expel, config_.id, config_.id,
                  id, "stalled");
@@ -944,7 +909,6 @@ std::vector<std::string> Leader::expel_stalled(std::uint32_t attempts) {
     } else {
       // Ghost handshake (never authenticated): discard quietly. The key
       // was never confirmed to anyone, so no Oops and no announcement.
-      audit_.record(AuditKind::auth_reject, id, "ghost handshake cleared");
       obs::trace(clock_.now(), obs::TraceKind::expel, config_.id, config_.id,
                  id, "ghost handshake");
       (void)it->second->force_close();
@@ -980,11 +944,11 @@ Leader::Stats Leader::stats() const {
   s.epoch = epoch_;
   s.relayed = relayed_;
   s.rejected_inputs = rejected_inputs();
-  s.joins = audit_.count(AuditKind::member_joined);
-  s.leaves = audit_.count(AuditKind::member_left);
-  s.expulsions = audit_.count(AuditKind::member_expelled);
-  s.rekeys = audit_.count(AuditKind::rekey);
-  s.join_denials = audit_.count(AuditKind::join_denied);
+  s.joins = joins_;
+  s.leaves = leaves_;
+  s.expulsions = expulsions_;
+  s.rekeys = rekeys_;
+  s.join_denials = refusals_.count(Refusal::join_denied);
   return s;
 }
 
@@ -1002,7 +966,8 @@ std::string Leader::Stats::to_string() const {
 }
 
 std::uint64_t Leader::rejected_inputs() const {
-  std::uint64_t total = relay_rejects_;
+  std::uint64_t total = refusals_.count(Refusal::relay) +
+                        refusals_.count(Refusal::unknown_sender);
   for (const auto& [id, session] : sessions_)
     total += session->reject_stats().total();
   return total;

@@ -18,12 +18,13 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/audit.h"
 #include "core/keytree.h"
 #include "core/leader_session.h"
 #include "core/policy.h"
+#include "core/refusal.h"
 #include "core/registry.h"
 #include "core/rekey_policy.h"
 #include "core/retry.h"
@@ -91,11 +92,9 @@ class Leader {
     policy_ = std::move(policy);
   }
 
-  /// Security event log (admissions, rejections, rekeys, expulsions).
-  const AuditLog& audit() const { return audit_; }
-
   /// One-line-able operational snapshot (derived from live state and the
-  /// audit counters; cheap to take).
+  /// lifecycle counters; cheap to take). Refusals themselves are attributed
+  /// in the SecurityLedger and the per-node metrics (core/refusal.h).
   struct Stats {
     std::size_t members = 0;
     std::uint64_t epoch = 0;
@@ -253,6 +252,9 @@ class Leader {
 
  private:
   void send(const std::string& to, wire::Envelope e);
+  /// Records one refusal on every observation channel (core/refusal.h).
+  void refuse(Refusal plane, obs::EvidenceKind kind, std::string_view accused,
+              std::string_view detail, std::uint64_t value = 0);
   void submit_admin_to(const std::string& member_id, wire::AdminBody body);
   void handle_member_authenticated(const std::string& member_id);
   void handle_member_closed(const std::string& member_id);
@@ -260,7 +262,7 @@ class Leader {
   void send_group_key_to(const std::string& member_id);
   bool tree_mode() const { return config_.rekey.algo == RekeyAlgo::tree; }
   void ensure_tree();
-  /// Shared rekey bookkeeping (audit, metrics, trace, HA hook, parole GC)
+  /// Shared rekey bookkeeping (stats, metrics, trace, HA hook, parole GC)
   /// — called by every path that moved epoch_/kg_.
   void note_rekey();
   /// Rotates the tree for a join/leave and broadcasts the update.
@@ -302,10 +304,14 @@ class Leader {
 
   std::uint64_t relayed_ = 0;
   std::uint64_t data_since_rekey_ = 0;
-  std::uint64_t relay_rejects_ = 0;
+  RefusalTally refusals_;
+  // Lifecycle counters behind stats().
+  std::uint64_t joins_ = 0;
+  std::uint64_t leaves_ = 0;
+  std::uint64_t expulsions_ = 0;
+  std::uint64_t rekeys_ = 0;
 
   std::shared_ptr<const AccessPolicy> policy_;
-  AuditLog audit_;
 
   // Parole list (PROTOCOL.md §12): per expelled-but-reconcilable member,
   // the retained session key Kr plus the verification state of an in-flight

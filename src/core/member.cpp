@@ -21,6 +21,13 @@ Member::Member(std::string id, std::string leader_id, crypto::LongTermKey pa,
       aead_(aead),
       session_(id_, leader_id_, pa, rng, aead) {}
 
+void Member::refuse(Refusal plane, obs::EvidenceKind kind,
+                    std::string_view accused, std::string_view detail,
+                    std::uint64_t value) {
+  refusals_.record(clock_.now(), leader_id_, id_, plane, kind, accused, detail,
+                   value);
+}
+
 void Member::emit(GroupEvent event) {
   if (on_event_) on_event_(event);
 }
@@ -124,10 +131,8 @@ void Member::handle(const wire::Envelope& e) {
 
   auto outcome = session_.handle(e);
   if (!outcome) {
-    obs::count(leader_id_, id_, "auth_rejects_total");
-    obs::security_event(clock_.now(),
-                        obs::evidence_kind_for(outcome.error().code),
-                        leader_id_, id_, e.sender, wire::label_name(e.label));
+    refuse(Refusal::auth, obs::evidence_kind_for(outcome.error().code),
+           e.sender, wire::label_name(e.label));
     return;  // rejected; tallied inside the session
   }
 
@@ -246,19 +251,10 @@ bool Member::apply_admin(const wire::AdminBody& body) {
             // Epoch fence (PROTOCOL.md §11): a key older than one we have
             // already accepted can only come from a leader that was deposed
             // by a failover — obeying it would fork the group. Drop the
-            // session and let rejoin find the live leader.
-            ++epochs_fenced_;
-            obs::count(leader_id_, id_, "epoch_fenced_total");
-            obs::trace(clock_.now(), obs::TraceKind::fence, leader_id_, id_,
-                       leader_id_, "stale_epoch", b.epoch);
-            obs::security_event(clock_.now(),
-                                obs::EvidenceKind::epoch_fenced, leader_id_,
-                                id_, leader_id_, "NewGroupKey below floor",
-                                b.epoch);
-            // Flight-recorder incident hook: a fenced key is the member-side
-            // signature of a resurrected leader — worth a black-box dump.
-            obs::flight_incident(clock_.now(), "epoch_fenced", leader_id_,
-                                 id_);
+            // session and let rejoin find the live leader. The refusal also
+            // dumps the flight-recorder window around the fence.
+            refuse(Refusal::epoch_fence, obs::EvidenceKind::epoch_fenced,
+                   leader_id_, "NewGroupKey below floor", b.epoch);
             session_.close_local();
             drop_group_state();
             if (auto_rejoin_ && want_membership_)
@@ -334,22 +330,16 @@ bool Member::apply_admin(const wire::AdminBody& body) {
 
 void Member::handle_group_data(const wire::Envelope& e) {
   PROF_SCOPE("member/data/open");
-  auto data_reject = [this, &e](obs::EvidenceKind kind, const char* why) {
-    ++data_rejects_;
-    obs::count(leader_id_, id_, "data_rejects_total");
-    obs::trace(clock_.now(), obs::TraceKind::data_reject, leader_id_, id_,
-               e.sender, why);
-    obs::security_event(clock_.now(), kind, leader_id_, id_, e.sender, why);
-  };
   if (!connected() || !have_kg_) {
-    data_reject(obs::EvidenceKind::bad_label, "no session or group key");
+    refuse(Refusal::data, obs::EvidenceKind::bad_label, e.sender,
+           "no session or group key");
     return;
   }
   auto plain = wire::open_sealed(aead_, kg_.view(), e);
   if (!plain) {
     // Sealed under some other epoch's key, or forged by a non-member.
-    data_reject(obs::EvidenceKind::aead_open_failure,
-                "does not open under current Kg");
+    refuse(Refusal::data, obs::EvidenceKind::aead_open_failure, e.sender,
+           "does not open under current Kg");
     // Under a tree-mode leader this is also the missed-broadcast symptom:
     // the group moved to an epoch whose update we lost. Ask for our path.
     if (keytree_.assigned() && !keytree_recover_env_)
@@ -358,15 +348,16 @@ void Member::handle_group_data(const wire::Envelope& e) {
   }
   auto payload = wire::decode_group_data(*plain);
   if (!payload || payload->epoch != epoch_ || payload->origin != e.sender) {
-    data_reject(obs::EvidenceKind::stale_epoch,
-                "stale epoch or origin mismatch");
+    refuse(Refusal::data, obs::EvidenceKind::stale_epoch, e.sender,
+           "stale epoch or origin mismatch");
     return;
   }
   // Per-origin strictly increasing sequence: rejects within-epoch replays.
   auto [it, inserted] = last_seq_.try_emplace(payload->origin, payload->seq);
   if (!inserted) {
     if (payload->seq <= it->second) {
-      data_reject(obs::EvidenceKind::replayed_seq, "replayed sequence");
+      refuse(Refusal::data, obs::EvidenceKind::replayed_seq, e.sender,
+             "replayed sequence");
       return;
     }
     it->second = payload->seq;
@@ -467,32 +458,31 @@ void Member::finish_reconcile(const char* detail, std::uint64_t value,
 }
 
 void Member::handle_reconcile_verdict(const wire::Envelope& e) {
-  auto reject = [this, &e](obs::EvidenceKind kind, const char* why) {
-    obs::count(leader_id_, id_, "auth_rejects_total");
-    obs::security_event(clock_.now(), kind, leader_id_, id_, e.sender, why);
-  };
   if (!disconnected_mode_) {
-    reject(obs::EvidenceKind::bad_label, "verdict outside disconnected mode");
+    refuse(Refusal::auth, obs::EvidenceKind::bad_label, e.sender,
+           "verdict outside disconnected mode");
     return;
   }
   auto plain = wire::open_sealed(aead_, kr_.view(), e);
   if (!plain) {
-    reject(obs::EvidenceKind::aead_open_failure,
+    refuse(Refusal::auth, obs::EvidenceKind::aead_open_failure, e.sender,
            "verdict does not open under Kr");
     return;
   }
   auto p = wire::decode_reconcile_verdict(*plain);
   if (!p) {
-    reject(obs::EvidenceKind::malformed, "malformed reconcile verdict");
+    refuse(Refusal::auth, obs::EvidenceKind::malformed, e.sender,
+           "malformed reconcile verdict");
     return;
   }
   if (p->l != leader_id_ || p->a != id_) {
-    reject(obs::EvidenceKind::identity_mismatch,
+    refuse(Refusal::auth, obs::EvidenceKind::identity_mismatch, e.sender,
            "reconcile verdict identity mismatch");
     return;
   }
   if (p->nr != reconcile_nonce_) {
-    reject(obs::EvidenceKind::stale_nonce, "reconcile nonce mismatch");
+    refuse(Refusal::auth, obs::EvidenceKind::stale_nonce, e.sender,
+           "reconcile nonce mismatch");
     return;
   }
   note_activity();
@@ -554,12 +544,6 @@ void Member::install_keytree_epoch(const crypto::GroupKey& kg,
 
 void Member::handle_keytree_update(const wire::Envelope& e) {
   PROF_SCOPE("member/keytree/apply");
-  auto reject = [this, &e](obs::EvidenceKind kind, const char* why,
-                           std::uint64_t value = 0) {
-    obs::count(leader_id_, id_, "keytree_rejects_total");
-    obs::security_event(clock_.now(), kind, leader_id_, id_, e.sender, why,
-                        value);
-  };
   if (!connected() || !keytree_.assigned()) {
     // A broadcast can legitimately race ahead of our KeyTreeAssign (or
     // outlive our session); there is nothing to verify it against yet and
@@ -569,11 +553,12 @@ void Member::handle_keytree_update(const wire::Envelope& e) {
   }
   auto p = wire::decode_keytree_update(e.body);
   if (!p) {
-    reject(obs::EvidenceKind::malformed, "malformed keytree update");
+    refuse(Refusal::keytree, obs::EvidenceKind::malformed, e.sender,
+           "malformed keytree update");
     return;
   }
   if (p->l != leader_id_) {
-    reject(obs::EvidenceKind::identity_mismatch,
+    refuse(Refusal::keytree, obs::EvidenceKind::identity_mismatch, e.sender,
            "keytree update claims wrong leader");
     return;
   }
@@ -584,17 +569,13 @@ void Member::handle_keytree_update(const wire::Envelope& e) {
   // would let one replayed capture evict any member at will.
   if (have_kg_ && p->epoch <= epoch_) {
     if (p->epoch < epoch_)  // same-epoch duplicate is routine loss recovery
-      reject(obs::EvidenceKind::stale_epoch,
+      refuse(Refusal::keytree, obs::EvidenceKind::stale_epoch, e.sender,
              "keytree update below our epoch", p->epoch);
     return;
   }
   if (p->epoch < epoch_floor_) {
-    ++epochs_fenced_;
-    obs::count(leader_id_, id_, "epoch_fenced_total");
-    obs::trace(clock_.now(), obs::TraceKind::fence, leader_id_, id_, e.sender,
-               "stale_keytree_epoch", p->epoch);
-    reject(obs::EvidenceKind::epoch_fenced, "keytree update below floor",
-           p->epoch);
+    refuse(Refusal::keytree_fence, obs::EvidenceKind::epoch_fenced, e.sender,
+           "keytree update below floor", p->epoch);
     return;
   }
   auto res = keytree_.apply_update(aead_, *p, epoch_);
@@ -613,7 +594,7 @@ void Member::handle_keytree_update(const wire::Envelope& e) {
       request_keytree_recovery();
       break;
     case KeyTreeView::Outcome::forged:
-      reject(obs::EvidenceKind::forged_keytree,
+      refuse(Refusal::keytree, obs::EvidenceKind::forged_keytree, e.sender,
              "keytree update fails confirmation", p->epoch);
       break;
   }
@@ -621,29 +602,25 @@ void Member::handle_keytree_update(const wire::Envelope& e) {
 
 void Member::handle_keytree_path(const wire::Envelope& e) {
   PROF_SCOPE("member/keytree/path");
-  auto reject = [this, &e](obs::EvidenceKind kind, const char* why,
-                           std::uint64_t value = 0) {
-    obs::count(leader_id_, id_, "keytree_rejects_total");
-    obs::security_event(clock_.now(), kind, leader_id_, id_, e.sender, why,
-                        value);
-  };
   if (!connected() || !keytree_.assigned()) {
-    reject(obs::EvidenceKind::bad_label, "keytree path without a leaf");
+    refuse(Refusal::keytree, obs::EvidenceKind::bad_label, e.sender,
+           "keytree path without a leaf");
     return;
   }
   auto plain = wire::open_sealed(aead_, keytree_.leaf_kek().view(), e);
   if (!plain) {
-    reject(obs::EvidenceKind::aead_open_failure,
+    refuse(Refusal::keytree, obs::EvidenceKind::aead_open_failure, e.sender,
            "keytree path does not open under leaf KEK");
     return;
   }
   auto p = wire::decode_keytree_path(*plain);
   if (!p) {
-    reject(obs::EvidenceKind::malformed, "malformed keytree path");
+    refuse(Refusal::keytree, obs::EvidenceKind::malformed, e.sender,
+           "malformed keytree path");
     return;
   }
   if (p->l != leader_id_ || p->a != id_) {
-    reject(obs::EvidenceKind::identity_mismatch,
+    refuse(Refusal::keytree, obs::EvidenceKind::identity_mismatch, e.sender,
            "keytree path identity mismatch");
     return;
   }
@@ -668,12 +645,13 @@ void Member::handle_keytree_path(const wire::Envelope& e) {
       break;
     case KeyTreeView::Outcome::stale:
       // An unsolicited path at an older epoch: replay bait.
-      reject(obs::EvidenceKind::stale_epoch, "stale keytree path", p->epoch);
+      refuse(Refusal::keytree, obs::EvidenceKind::stale_epoch, e.sender,
+             "stale keytree path", p->epoch);
       break;
     case KeyTreeView::Outcome::unreachable:
       break;  // cannot happen once assigned; defensive
     case KeyTreeView::Outcome::forged:
-      reject(obs::EvidenceKind::forged_keytree,
+      refuse(Refusal::keytree, obs::EvidenceKind::forged_keytree, e.sender,
              "keytree path fails confirmation", p->epoch);
       break;
   }

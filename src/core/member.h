@@ -21,12 +21,14 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/events.h"
 #include "core/keytree.h"
 #include "core/member_session.h"
 #include "core/oplog.h"
+#include "core/refusal.h"
 #include "core/retry.h"
 #include "crypto/aead.h"
 #include "crypto/keys.h"
@@ -150,8 +152,11 @@ class Member {
   /// guard of PROTOCOL.md §11. Survives drop_group_state() by design.
   std::uint64_t epoch_floor() const { return epoch_floor_; }
 
-  /// NewGroupKey messages rejected by the epoch fence.
-  std::uint64_t epochs_fenced() const { return epochs_fenced_; }
+  /// NewGroupKey messages and key-tree updates rejected by the epoch fence.
+  std::uint64_t epochs_fenced() const {
+    return refusals_.count(Refusal::epoch_fence) +
+           refusals_.count(Refusal::keytree_fence);
+  }
 
   /// This member's view of the group (including itself once listed).
   std::vector<std::string> view() const;
@@ -164,7 +169,9 @@ class Member {
   const MemberSession& session() const { return session_; }
 
   /// Data-plane replays/forgeries rejected.
-  std::uint64_t data_rejects() const { return data_rejects_; }
+  std::uint64_t data_rejects() const {
+    return refusals_.count(Refusal::data);
+  }
 
   /// Times this member re-initiated the handshake via auto-rejoin.
   std::uint64_t rejoins() const { return rejoins_; }
@@ -175,6 +182,9 @@ class Member {
 
  private:
   void emit(GroupEvent event);
+  /// Records one refusal on every observation channel (core/refusal.h).
+  void refuse(Refusal plane, obs::EvidenceKind kind, std::string_view accused,
+              std::string_view detail, std::uint64_t value = 0);
   /// Emits ViewChanged with a freshly materialized shared snapshot of
   /// view_ — or nothing at all when no handler is installed, so the
   /// admin fan-out never pays O(N) per notice just to drop the result
@@ -216,7 +226,7 @@ class Member {
   std::set<std::string> view_;
   std::uint64_t next_seq_ = 0;                  // our outbound counter
   std::map<std::string, std::uint64_t> last_seq_;  // per-origin inbound floor
-  std::uint64_t data_rejects_ = 0;
+  RefusalTally refusals_;
 
   // Liveness layer: one virtual clock, one RetryState per retransmitting
   // exchange. The join handshake retransmits until answered (or the budget
@@ -277,7 +287,6 @@ class Member {
   std::vector<std::string> failover_targets_;
   std::size_t target_idx_ = 0;
   std::uint64_t epoch_floor_ = 0;
-  std::uint64_t epochs_fenced_ = 0;
 
   // Federation redirects (PROTOCOL.md §14). The hop budget resets on a
   // successful connect; an exhausted budget leaves the ordinary

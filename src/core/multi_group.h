@@ -4,7 +4,7 @@
 // participate in multiple named enclaves at once; the DSN'01 paper analyzes
 // one group, whose guarantees are per-group. This host composes one fully
 // independent Leader per named group — separate password registries,
-// session keys, group keys, epochs, policies, and audit logs — under a
+// session keys, group keys, epochs, policies, and stats — under a
 // single node identity. Group `g` on host `h` is addressed as leader
 // "h/g"; a user participating in several groups runs one Member per group,
 // exactly as the per-group analysis assumes.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "obs/json_escape.h"
+#include "obs/json_reader.h"
 
 namespace enclaves::obs {
 
@@ -145,81 +146,15 @@ std::string ProfSnapshot::to_json() const {
 
 namespace {
 
-// Minimal parser for exactly the subset to_json emits, in the same idiom
-// as MetricsSnapshot::from_json.
-struct Cursor {
-  std::string_view s;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\n' ||
-                              s[pos] == '\t' || s[pos] == '\r'))
-      ++pos;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos < s.size() && s[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return pos < s.size() && s[pos] == c;
-  }
-};
-
-bool parse_string(Cursor& c, std::string& out) {
-  if (!c.eat('"')) return false;
-  out.clear();
-  while (c.pos < c.s.size()) {
-    char ch = c.s[c.pos++];
-    if (ch == '"') return true;
-    if (ch == '\\') {
-      if (c.pos >= c.s.size()) return false;
-      char esc = c.s[c.pos++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'u': {
-          if (c.pos + 4 > c.s.size()) return false;
-          unsigned v = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = c.s[c.pos++];
-            v <<= 4;
-            if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              v |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              v |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return false;
-          }
-          if (v > 0xFF) return false;  // we only ever emit control bytes
-          out += static_cast<char>(v);
-          break;
-        }
-        default: return false;
-      }
-    } else {
-      out += ch;
-    }
-  }
-  return false;
-}
-
-bool parse_u64(Cursor& c, std::uint64_t& out) {
-  c.skip_ws();
-  if (c.pos >= c.s.size() || c.s[c.pos] < '0' || c.s[c.pos] > '9')
-    return false;
-  out = 0;
-  while (c.pos < c.s.size() && c.s[c.pos] >= '0' && c.s[c.pos] <= '9')
-    out = out * 10 + static_cast<std::uint64_t>(c.s[c.pos++] - '0');
-  return true;
+// The numeric ProfStat field a to_json key names, or nullptr.
+std::uint64_t* stat_field(ProfStat& stat, std::string_view name) {
+  if (name == "count") return &stat.count;
+  if (name == "total_ns") return &stat.total_ns;
+  if (name == "self_ns") return &stat.self_ns;
+  if (name == "min_ns") return &stat.min_ns;
+  if (name == "max_ns") return &stat.max_ns;
+  if (name == "bytes") return &stat.bytes;
+  return nullptr;
 }
 
 // Human-scaled duration, deterministic for a given input.
@@ -250,48 +185,37 @@ std::string lpad(std::string s, std::size_t width) {
 }  // namespace
 
 Result<ProfSnapshot> ProfSnapshot::from_json(std::string_view json) {
-  Cursor c{json};
+  json::Cursor r{json};
   ProfSnapshot out;
-  if (!c.eat('{')) return Errc::malformed;
-  std::string key;
-  if (!parse_string(c, key) || key != "scopes" || !c.eat(':') || !c.eat('['))
+  if (!r.eat('{')) return Errc::malformed;
+  auto key = r.string();
+  if (!key || *key != "scopes" || !r.eat(':') || !r.eat('['))
     return Errc::malformed;
-  if (!c.peek(']')) {
+  if (!r.peek(']')) {
     do {
-      if (!c.eat('{')) return Errc::malformed;
+      if (!r.eat('{')) return Errc::malformed;
       std::string path;
       ProfStat stat;
       bool saw_path = false;
       do {
-        std::string field;
-        if (!parse_string(c, field) || !c.eat(':')) return Errc::malformed;
-        if (field == "path") {
-          if (!parse_string(c, path)) return Errc::malformed;
-          saw_path = true;
-        } else if (field == "count") {
-          if (!parse_u64(c, stat.count)) return Errc::malformed;
-        } else if (field == "total_ns") {
-          if (!parse_u64(c, stat.total_ns)) return Errc::malformed;
-        } else if (field == "self_ns") {
-          if (!parse_u64(c, stat.self_ns)) return Errc::malformed;
-        } else if (field == "min_ns") {
-          if (!parse_u64(c, stat.min_ns)) return Errc::malformed;
-        } else if (field == "max_ns") {
-          if (!parse_u64(c, stat.max_ns)) return Errc::malformed;
-        } else if (field == "bytes") {
-          if (!parse_u64(c, stat.bytes)) return Errc::malformed;
+        auto field = r.string();
+        if (!field || !r.eat(':')) return Errc::malformed;
+        if (*field == "path") {
+          saw_path = json::assign(r.string(), path);
+          if (!saw_path) return Errc::malformed;
+        } else if (std::uint64_t* value = stat_field(stat, *field)) {
+          if (!json::assign(r.uint(), *value)) return Errc::malformed;
         } else {
-          return make_error(Errc::malformed, "unknown profile field: " +
-                                                 field);
+          return make_error(Errc::malformed,
+                            "unknown profile field: " + *field);
         }
-      } while (c.eat(','));
-      if (!c.eat('}') || !saw_path) return Errc::malformed;
+      } while (r.eat(','));
+      if (!r.eat('}') || !saw_path) return Errc::malformed;
       out.scopes[std::move(path)] = stat;
-    } while (c.eat(','));
+    } while (r.eat(','));
   }
-  if (!c.eat(']') || !c.eat('}')) return Errc::malformed;
-  c.skip_ws();
-  if (c.pos != json.size()) return Errc::malformed;  // trailing garbage
+  if (!r.eat(']') || !r.eat('}')) return Errc::malformed;
+  if (!r.at_end()) return Errc::malformed;  // trailing garbage
   return out;
 }
 

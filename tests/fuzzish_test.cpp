@@ -4,8 +4,16 @@
 // deterministic stand-in for a fuzzing campaign.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <string_view>
+
 #include "app/group_chat.h"
 #include "core/registry.h"
+#include "obs/metrics.h"
+#include "obs/prof.h"
+#include "tools/bench_diff_lib.h"
 #include "util/rng.h"
 #include "wire/admin_body.h"
 #include "wire/envelope.h"
@@ -101,6 +109,103 @@ TEST(FuzzishStructured, HugeLengthClaimsBounded) {
   auto r = wire::decode_envelope(evil);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.code(), Errc::oversized);
+}
+
+
+// --- JSON: the one reader (obs/json_reader.h) behind every parser ---------
+
+// Samples exercising every section and value shape the writers emit:
+// escaped and raw-control key bytes, 64-bit extremes, negative gauges,
+// histogram arrays, profile scopes and fractional benchmark numbers.
+std::string sample_metrics_json() {
+  obs::MetricsSnapshot m;
+  m.counters[{"L", "L", "relayed_total"}] = 42;
+  m.counters[{"g\"q", "a\\b", std::string("n\n\t\x01")}] =
+      std::numeric_limits<std::uint64_t>::max();
+  m.gauges[{"L", "L", "members"}] = 7;
+  m.gauges[{"ha", "L2", "lag"}] = std::numeric_limits<std::int64_t>::min();
+  m.histograms[{"L", "L", "relay_payload_bytes"}] =
+      obs::HistogramData{{64, 256}, {1, 1}, 1, 3, 300};
+  return m.to_json();
+}
+
+std::string sample_profile_json() {
+  obs::ProfSnapshot p;
+  p.scopes["leader/handle"] = {3, 900, 600, 100, 500, 2048};
+  p.scopes["leader/handle;leader/relay"] = {2, 300, 300, 120, 180, 0};
+  return p.to_json();
+}
+
+std::string sample_blob_json() {
+  return "{\"bench\":\"fuzz\",\"metrics_attached\":true,"
+         "\"results\":[{\"name\":\"BM_Relay/64\",\"iterations\":1000,"
+         "\"real_time\":1.25e3,\"cpu_time\":-0.5,\"time_unit\":\"ns\"}],"
+         "\"metrics\":" +
+         sample_metrics_json() + ",\"profile\":" + sample_profile_json() +
+         "}";
+}
+
+// Parses `text` with all three readers. Whatever MetricsSnapshot parses
+// must survive to_json -> from_json unchanged; returns how many did.
+int parse_everything(std::string_view text) {
+  int round_trips = 0;
+  auto check = [&round_trips](const obs::MetricsSnapshot& snap) {
+    auto again = obs::MetricsSnapshot::from_json(snap.to_json());
+    ASSERT_TRUE(again.ok()) << snap.to_json();
+    EXPECT_EQ(*again, snap);
+    ++round_trips;
+  };
+  if (auto blob = tools::BenchBlob::parse(text)) check(blob->metrics);
+  if (auto snap = obs::MetricsSnapshot::from_json(text)) check(*snap);
+  (void)obs::ProfSnapshot::from_json(text);
+  return round_trips;
+}
+
+TEST(FuzzishJson, EveryPrefixFailsCleanly) {
+  const std::string blob = sample_blob_json();
+  ASSERT_TRUE(tools::BenchBlob::parse(blob).ok());
+  auto snap = obs::MetricsSnapshot::from_json(sample_metrics_json());
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snap->to_json(), sample_metrics_json());
+  auto prof = obs::ProfSnapshot::from_json(sample_profile_json());
+  ASSERT_TRUE(prof.ok());
+  EXPECT_EQ(prof->to_json(), sample_profile_json());
+
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    EXPECT_FALSE(tools::BenchBlob::parse(blob.substr(0, len)).ok()) << len;
+  }
+  for (const std::string& text :
+       {blob, sample_metrics_json(), sample_profile_json()}) {
+    for (std::size_t len = 0; len < text.size(); ++len)
+      parse_everything(std::string_view(text).substr(0, len));
+  }
+}
+
+TEST(FuzzishJson, SingleByteMutationsNeverCrashAndRoundTrip) {
+  DeterministicRng rng(1213);
+  // Bias toward bytes that change JSON structure; the rest are arbitrary.
+  const std::string_view structural = "{}[]\":,\\-+.eu0123456789 tfn\x01";
+  int round_trips = 0;
+  for (const std::string& base :
+       {sample_blob_json(), sample_metrics_json(), sample_profile_json()}) {
+    for (int round = 0; round < 1500; ++round) {
+      std::string bad = base;
+      const char byte =
+          rng.below(2) == 0
+              ? structural[rng.below(structural.size())]
+              : static_cast<char>(rng.below(256));
+      const std::size_t at = rng.below(bad.size());
+      switch (rng.below(3)) {
+        case 0: bad[at] = byte; break;
+        case 1: bad.insert(at, 1, byte); break;
+        default: bad.erase(at, 1); break;
+      }
+      round_trips += parse_everything(bad);
+    }
+  }
+  // Mutations inside values and strings keep a large share parseable, so
+  // the round-trip property is exercised, not vacuous.
+  EXPECT_GT(round_trips, 500);
 }
 
 }  // namespace

@@ -315,7 +315,7 @@ TEST(Group, ShutdownGroupNotifiesEveryoneOnce) {
     EXPECT_FALSE(m->connected()) << id;
     EXPECT_FALSE(m->has_group_key()) << id;
   }
-  EXPECT_EQ(w.leader.audit().count(AuditKind::member_expelled), 3u);
+  EXPECT_EQ(w.leader.stats().expulsions, 3u);
 }
 
 TEST(Group, EventSequenceOnJoin) {

@@ -4,8 +4,10 @@
 // retransmissions yield none.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,8 +18,10 @@
 #include "net/sim_network.h"
 #include "obs/metrics.h"
 #include "obs/security.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 #include "wire/payloads.h"
+#include "wire/reconcile.h"
 #include "wire/seal.h"
 
 namespace enclaves::core {
@@ -36,9 +40,10 @@ std::vector<SecurityEvidence> core_entries(const obs::SecurityLedger& ledger) {
 }
 
 struct LedgeredWorld {
-  explicit LedgeredWorld(std::uint64_t seed)
+  explicit LedgeredWorld(std::uint64_t seed,
+                         LeaderConfig config = {"L", RekeyPolicy::strict()})
       : rng(seed),
-        leader(LeaderConfig{"L", RekeyPolicy::strict()}, rng),
+        leader(std::move(config), rng),
         metrics_sink(metrics),
         ledger_sink(ledger) {
     leader.set_send([this](const std::string& to, wire::Envelope e) {
@@ -307,6 +312,353 @@ TEST(SecurityLedger, AttackMatrixProducesAttributedEvidence) {
     EXPECT_NE(std::string_view(obs::evidence_kind_name(e.kind)), "");
   }
   EXPECT_FALSE(ledger.suspicion_counts().empty());
+}
+
+// --- One refusal, every channel ---------------------------------------------
+//
+// Each refusal in Leader/Member shows up on up to four channels: the node's
+// per-plane counter under (group, observer), exactly one ledger entry, the
+// `security/<observer>/refusals_total` counter the ledger sink derives, and
+// — for relay/data refusals only — one `data_reject` trace line. One trigger
+// per refusal group pins all four, plus the Leader's local reject tally.
+
+struct Refused {
+  EvidenceKind kind;
+  std::string group;
+  std::string observer;
+  std::string accused;
+  std::string detail;
+  std::uint64_t value = 0;
+  std::string counter;  // per-node counter under (group, observer)
+  bool data_reject_trace = false;
+  std::uint64_t leader_rejected_inputs = 0;  // Leader::rejected_inputs() delta
+};
+
+void expect_one_refusal(LedgeredWorld& w, const std::function<void()>& trigger,
+                        const Refused& want) {
+  obs::TraceLog trace;
+  obs::ScopedTraceSink trace_sink(trace);
+  const std::size_t entries_before = core_entries(w.ledger).size();
+  const std::uint64_t counter_before =
+      w.metrics.counter(want.group, want.observer, want.counter);
+  const std::uint64_t refusals_before =
+      w.metrics.counter("security", want.observer, "refusals_total");
+  const std::uint64_t rejected_before = w.leader.rejected_inputs();
+
+  trigger();
+
+  auto core = core_entries(w.ledger);
+  ASSERT_EQ(core.size(), entries_before + 1);
+  const SecurityEvidence& got = core.back();
+  EXPECT_EQ(obs::evidence_kind_name(got.kind),
+            obs::evidence_kind_name(want.kind));
+  EXPECT_EQ(got.group, want.group);
+  EXPECT_EQ(got.observer, want.observer);
+  EXPECT_EQ(got.accused, want.accused);
+  EXPECT_EQ(got.detail, want.detail);
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(w.metrics.counter(want.group, want.observer, want.counter),
+            counter_before + 1)
+      << want.counter;
+  EXPECT_EQ(w.metrics.counter("security", want.observer, "refusals_total"),
+            refusals_before + 1);
+  EXPECT_EQ(w.leader.rejected_inputs(),
+            rejected_before + want.leader_rejected_inputs);
+
+  std::vector<obs::TraceEvent> lines;
+  for (const auto& e : trace.events())
+    if (e.kind == obs::TraceKind::data_reject) lines.push_back(e);
+  ASSERT_EQ(lines.size(), want.data_reject_trace ? 1u : 0u);
+  if (want.data_reject_trace) {
+    EXPECT_EQ(lines[0].group, want.group);
+    EXPECT_EQ(lines[0].agent, want.observer);
+    EXPECT_EQ(lines[0].peer, want.accused);
+    EXPECT_EQ(lines[0].detail, want.detail);
+  }
+}
+
+Member& joined(LedgeredWorld& w, const std::string& id) {
+  Member& m = w.add(id);
+  EXPECT_TRUE(m.join().ok());
+  w.net.run();
+  EXPECT_TRUE(m.connected()) << id;
+  return m;
+}
+
+TEST(RefusalChannels, LeaderJoinDenied) {
+  LedgeredWorld w(21);
+  joined(w, "alice");
+  w.leader.set_access_policy(
+      std::make_shared<DenylistPolicy>(std::set<std::string>{"eve"}));
+  Member& eve = w.add("eve");
+  const auto denials = w.leader.stats().join_denials;
+  expect_one_refusal(
+      w,
+      [&] {
+        ASSERT_TRUE(eve.join().ok());
+        w.net.run();
+      },
+      {EvidenceKind::join_denied, "L", "L", "eve", "banned", 0,
+       "join_denials_total"});
+  EXPECT_EQ(w.leader.stats().join_denials, denials + 1);
+}
+
+TEST(RefusalChannels, LeaderUnknownSender) {
+  LedgeredWorld w(22);
+  joined(w, "alice");
+  expect_one_refusal(
+      w,
+      [&] {
+        w.net.inject("L", wire::Envelope{wire::Label::AuthInitReq, "mallory",
+                                         "L", to_bytes("hello")});
+        w.net.run();
+      },
+      {EvidenceKind::unknown_sender, "L", "L", "mallory", "AuthInitReq", 0,
+       "auth_rejects_total", false, 1});
+}
+
+TEST(RefusalChannels, LeaderSessionReject) {
+  LedgeredWorld w(23);
+  joined(w, "alice");
+  expect_one_refusal(
+      w,
+      [&] {
+        w.net.inject("L", wire::Envelope{wire::Label::AuthAckKey, "alice",
+                                         "L", to_bytes("late")});
+        w.net.run();
+      },
+      {EvidenceKind::bad_label, "L", "L", "alice", "AuthAckKey", 0,
+       "auth_rejects_total", false, 1});
+}
+
+TEST(RefusalChannels, LeaderRelayReject) {
+  LedgeredWorld w(24);
+  joined(w, "alice");
+  w.add("eve");  // registered credential, never joins
+  expect_one_refusal(
+      w,
+      [&] {
+        DeterministicRng forge_rng(7);
+        wire::GroupDataPayload p{"eve", w.leader.epoch(), 1, to_bytes("x")};
+        w.net.inject("L", wire::make_sealed(crypto::default_aead(),
+                                            w.leader.group_key().view(),
+                                            forge_rng, wire::Label::GroupData,
+                                            "eve", wire::kGroupRecipient,
+                                            wire::encode(p)));
+        w.net.run();
+      },
+      {EvidenceKind::relay_reject, "L", "L", "eve", "not a member", 0,
+       "relay_rejects_total", true, 1});
+}
+
+TEST(RefusalChannels, LeaderKeyTreeRecoverReject) {
+  LedgeredWorld w(25);
+  joined(w, "alice");
+  expect_one_refusal(
+      w,
+      [&] {
+        w.net.inject("L", wire::Envelope{wire::Label::KeyTreeRecover, "alice",
+                                         "L", to_bytes("r")});
+        w.net.run();
+      },
+      {EvidenceKind::bad_label, "L", "L", "alice",
+       "keytree recover without a leaf", 0, "auth_rejects_total"});
+}
+
+TEST(RefusalChannels, LeaderReconcileOfferReject) {
+  LedgeredWorld w(26);
+  joined(w, "alice");
+  expect_one_refusal(
+      w,
+      [&] {
+        w.net.inject("L", wire::Envelope{wire::Label::ReconcileOffer, "alice",
+                                         "L", to_bytes("o")});
+        w.net.run();
+      },
+      {EvidenceKind::bad_label, "L", "L", "alice",
+       "reconcile offer without parole", 0, "auth_rejects_total"});
+}
+
+TEST(RefusalChannels, LeaderOpReplayReject) {
+  LedgeredWorld w(27);
+  joined(w, "alice");
+  expect_one_refusal(
+      w,
+      [&] {
+        w.net.inject("L", wire::Envelope{wire::Label::OpReplay, "alice", "L",
+                                         to_bytes("op")});
+        w.net.run();
+      },
+      {EvidenceKind::bad_label, "L", "L", "alice",
+       "op replay without active reconciliation", 0, "auth_rejects_total"});
+}
+
+TEST(RefusalChannels, LeaderForgedOpLog) {
+  LeaderConfig config{"L", RekeyPolicy::strict()};
+  config.parole_epochs = 4;
+  LedgeredWorld w(28, config);
+  joined(w, "alice");
+  // carol holds a parole Kr but no live node: the leader's verdicts to her
+  // are unroutable, so only the leader observes anything.
+  ASSERT_TRUE(
+      w.leader.register_member("carol", crypto::LongTermKey::random(w.rng))
+          .ok());
+  const auto kr = crypto::SessionKey::random(w.rng);
+  ASSERT_TRUE(w.leader.restore_parole("carol", kr, w.leader.epoch()));
+  const auto& aead = crypto::default_aead();
+  wire::ReconcileOfferPayload offer{"carol", "L",
+                                    crypto::ProtocolNonce::random(w.rng),
+                                    w.leader.epoch(), 2, {}};
+  w.net.inject("L", wire::make_sealed(aead, kr.view(), w.rng,
+                                      wire::Label::ReconcileOffer, "carol",
+                                      "L", wire::encode(offer)));
+  w.net.run();
+  ASSERT_EQ(core_entries(w.ledger).size(), 0u) << "the offer is admitted";
+
+  expect_one_refusal(
+      w,
+      [&] {
+        wire::OpReplayPayload op{"carol", 2, offer.fence_epoch, {},
+                                 to_bytes("skipped")};
+        w.net.inject("L", wire::make_sealed(aead, kr.view(), w.rng,
+                                            wire::Label::OpReplay, "carol",
+                                            "L", wire::encode(op)));
+        w.net.run();
+      },
+      {EvidenceKind::forged_oplog, "L", "L", "carol",
+       "op seq skips ahead of the verified chain", 2,
+       "reconcile_intrusions_total"});
+}
+
+TEST(RefusalChannels, MemberSessionReject) {
+  LedgeredWorld w(29);
+  joined(w, "alice");
+  expect_one_refusal(
+      w,
+      [&] {
+        DeterministicRng forge_rng(99);
+        auto wrong_key = crypto::SessionKey::random(forge_rng);
+        w.net.inject("alice", wire::make_sealed(
+                                  crypto::default_aead(), wrong_key.view(),
+                                  forge_rng, wire::Label::AdminMsg, "L",
+                                  "alice", to_bytes("forged")));
+        w.net.run();
+      },
+      {EvidenceKind::aead_open_failure, "L", "alice", "L", "AdminMsg", 0,
+       "auth_rejects_total"});
+}
+
+// A member whose epoch floor was set by a high-epoch leader fails over to a
+// leader whose key is epochs behind: the fence refuses that NewGroupKey.
+TEST(RefusalChannels, MemberNewGroupKeyFence) {
+  LedgeredWorld w(30);
+  for (int i = 0; i < 5; ++i) w.leader.rekey();  // L races ahead
+  Leader low(LeaderConfig{"L2", RekeyPolicy::strict()}, w.rng);
+  low.set_send([&w](const std::string& to, wire::Envelope e) {
+    w.net.send(to, std::move(e));
+  });
+  w.net.attach("L2", [&low](const wire::Envelope& e) { low.handle(e); });
+  auto pa = crypto::LongTermKey::random(w.rng);
+  ASSERT_TRUE(w.leader.register_member("alice", pa).ok());
+  ASSERT_TRUE(low.register_member("alice", pa).ok());
+  Member alice("alice", "L", pa, w.rng);
+  alice.set_send([&w](const std::string& to, wire::Envelope e) {
+    w.net.send(to, std::move(e));
+  });
+  alice.set_failover_targets({"L", "L2"});
+  alice.set_retry_policy(RetryPolicy::bounded(3));
+  alice.set_suspect_after(3);
+  alice.enable_auto_rejoin(RetryPolicy::every_tick());
+  w.net.attach("alice", [&alice](const wire::Envelope& e) { alice.handle(e); });
+  ASSERT_TRUE(alice.join().ok());
+  w.net.run();
+  ASSERT_TRUE(alice.connected());
+  const std::uint64_t floor = alice.epoch_floor();
+  ASSERT_GE(floor, 6u);
+  w.net.detach("L");
+
+  // Delivery stops at the fence: L2's admin traffic queued behind the
+  // refused key would otherwise hit the closed session as a second refusal.
+  expect_one_refusal(
+      w,
+      [&] {
+        for (int t = 0; t < 12 && alice.epochs_fenced() == 0; ++t) {
+          alice.tick();
+          while (alice.epochs_fenced() == 0 && w.net.deliver_next()) {
+          }
+        }
+      },
+      {EvidenceKind::epoch_fenced, "L2", "alice", "L2",
+       "NewGroupKey below floor", 1, "epoch_fenced_total"});
+  EXPECT_EQ(alice.epochs_fenced(), 1u);
+  EXPECT_EQ(alice.epoch_floor(), floor);
+}
+
+TEST(RefusalChannels, MemberDataReject) {
+  LedgeredWorld w(31);
+  joined(w, "alice");
+  Member& bob = joined(w, "bob");
+  const std::uint64_t before = bob.data_rejects();
+  expect_one_refusal(
+      w,
+      [&] {
+        DeterministicRng seal_rng(13);
+        wire::GroupDataPayload p{"alice", w.leader.epoch() - 1, 9,
+                                 to_bytes("old")};
+        w.net.inject("bob", wire::make_sealed(crypto::default_aead(),
+                                              w.leader.group_key().view(),
+                                              seal_rng, wire::Label::GroupData,
+                                              "alice", wire::kGroupRecipient,
+                                              wire::encode(p)));
+        w.net.run();
+      },
+      {EvidenceKind::stale_epoch, "L", "bob", "alice",
+       "stale epoch or origin mismatch", 0, "data_rejects_total", true});
+  EXPECT_EQ(bob.data_rejects(), before + 1);
+}
+
+TEST(RefusalChannels, MemberReconcileVerdictReject) {
+  LedgeredWorld w(32);
+  joined(w, "alice");
+  expect_one_refusal(
+      w,
+      [&] {
+        w.net.inject("alice", wire::Envelope{wire::Label::ReconcileVerdict,
+                                             "L", "alice", to_bytes("v")});
+        w.net.run();
+      },
+      {EvidenceKind::bad_label, "L", "alice", "L",
+       "verdict outside disconnected mode", 0, "auth_rejects_total"});
+}
+
+TEST(RefusalChannels, MemberKeyTreeUpdateReject) {
+  LeaderConfig config{"L", RekeyPolicy::tree()};
+  LedgeredWorld w(33, config);
+  joined(w, "alice");
+  expect_one_refusal(
+      w,
+      [&] {
+        w.net.inject("alice",
+                     wire::Envelope{wire::Label::KeyTreeUpdate, "L",
+                                    wire::kGroupRecipient, to_bytes("u")});
+        w.net.run();
+      },
+      {EvidenceKind::malformed, "L", "alice", "L", "malformed keytree update",
+       0, "keytree_rejects_total"});
+}
+
+TEST(RefusalChannels, MemberKeyTreePathReject) {
+  LedgeredWorld w(34);
+  joined(w, "alice");
+  expect_one_refusal(
+      w,
+      [&] {
+        w.net.inject("alice", wire::Envelope{wire::Label::KeyTreePath, "L",
+                                             "alice", to_bytes("p")});
+        w.net.run();
+      },
+      {EvidenceKind::bad_label, "L", "alice", "L",
+       "keytree path without a leaf", 0, "keytree_rejects_total"});
 }
 
 }  // namespace

@@ -81,7 +81,7 @@ TEST(Stall, CrashedMemberDetectedAndExpelled) {
   EXPECT_EQ(w.members["alice"]->view(), std::vector<std::string>{"alice"});
   // Expulsion rekeys (strict policy), so the crashed host is crypto-out.
   EXPECT_EQ(w.members["alice"]->epoch(), w.leader.epoch());
-  EXPECT_EQ(w.leader.audit().count(AuditKind::member_expelled), 1u);
+  EXPECT_EQ(w.leader.stats().expulsions, 1u);
 }
 
 TEST(Stall, ReplayedInitCannotBlockRealJoin) {
@@ -111,7 +111,7 @@ TEST(Stall, ReplayedInitCannotBlockRealJoin) {
   w.net.run();
   EXPECT_TRUE(alice.connected());
   EXPECT_TRUE(w.leader.is_member("alice"));
-  EXPECT_EQ(w.leader.audit().count(AuditKind::member_expelled), 0u);
+  EXPECT_EQ(w.leader.stats().expulsions, 0u);
 }
 
 TEST(Stall, MidHandshakeMemberCountsAsStalled) {
@@ -131,7 +131,7 @@ TEST(Stall, MidHandshakeMemberCountsAsStalled) {
   auto acted = w.leader.expel_stalled(3);
   EXPECT_EQ(acted, std::vector<std::string>{"alice"});
   // Never a member, so no announcement, no rekey beyond the initial state.
-  EXPECT_EQ(w.leader.audit().count(AuditKind::member_left), 0u);
+  EXPECT_EQ(w.leader.stats().leaves, 0u);
 }
 
 TEST(Stall, QuietCrashInvisibleUntilProbe) {

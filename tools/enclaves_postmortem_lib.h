@@ -24,9 +24,9 @@
 #include <vector>
 
 #include "obs/json_escape.h"
+#include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "tools/bench_diff_lib.h"
 #include "util/result.h"
 
 namespace enclaves::postmortem {
@@ -99,8 +99,6 @@ struct Postmortem {
 
 namespace pm_detail {
 
-using tools::diff_detail::Cursor;
-
 struct FlatObject {
   std::map<std::string, std::string> strings;
   std::map<std::string, std::uint64_t> numbers;
@@ -109,34 +107,34 @@ struct FlatObject {
 /// Parses one {"key":value,...} line of string/number/bool scalars (nested
 /// objects are consumed raw and dropped). Errc::malformed on anything else.
 inline Result<FlatObject> parse_flat_object(std::string_view line) {
-  Cursor c{line};
-  if (!c.consume('{')) return Errc::malformed;
+  obs::json::Cursor c{line};
+  if (!c.eat('{')) return Errc::malformed;
   FlatObject obj;
   if (!c.peek('}')) {
     do {
-      auto key = c.parse_string();
+      auto key = c.string();
       if (!key.ok()) return key.error();
-      if (!c.consume(':')) return Errc::malformed;
+      if (!c.eat(':')) return Errc::malformed;
       c.skip_ws();
       if (c.peek('"')) {
-        auto v = c.parse_string();
+        auto v = c.string();
         if (!v.ok()) return v.error();
         obj.strings[*key] = *std::move(v);
       } else if (c.peek('{')) {
-        auto v = c.parse_raw_object();
+        auto v = c.raw_object();
         if (!v.ok()) return v.error();
       } else if (c.peek('t') || c.peek('f')) {
-        auto v = c.parse_bool();
+        auto v = c.boolean();
         if (!v.ok()) return v.error();
         obj.numbers[*key] = *v ? 1 : 0;
       } else {
-        auto v = c.parse_number();
+        auto v = c.number_u64();
         if (!v.ok()) return v.error();
-        obj.numbers[*key] = static_cast<std::uint64_t>(*v);
+        obj.numbers[*key] = *v;
       }
-    } while (c.consume(','));
+    } while (c.eat(','));
   }
-  if (!c.consume('}')) return Errc::malformed;
+  if (!c.eat('}')) return Errc::malformed;
   return obj;
 }
 
