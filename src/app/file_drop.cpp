@@ -1,73 +1,6 @@
 #include "app/file_drop.h"
 
-#include "wire/codec.h"
-
 namespace enclaves::app {
-
-namespace {
-constexpr std::uint8_t kOfferTag = 0xE1;
-constexpr std::uint8_t kChunkTag = 0xE2;
-constexpr std::uint32_t kMaxChunkCount = 1 << 20;
-}  // namespace
-
-Bytes encode(const FileOffer& o) {
-  wire::Writer w;
-  w.u8(kOfferTag);
-  w.u64(o.transfer_id);
-  w.str(o.name);
-  w.u64(o.total_size);
-  w.u32(o.chunk_count);
-  w.raw({o.digest.data(), o.digest.size()});
-  return std::move(w).take();
-}
-
-Bytes encode(const FileChunk& c) {
-  wire::Writer w;
-  w.u8(kChunkTag);
-  w.u64(c.transfer_id);
-  w.u32(c.index);
-  w.var_bytes(c.data);
-  return std::move(w).take();
-}
-
-Result<FileMessage> decode_file_message(BytesView raw) {
-  wire::Reader r(raw);
-  auto tag = r.u8();
-  if (!tag) return tag.error();
-  switch (*tag) {
-    case kOfferTag: {
-      auto id = r.u64();
-      if (!id) return id.error();
-      auto name = r.str();
-      if (!name) return name.error();
-      auto size = r.u64();
-      if (!size) return size.error();
-      auto count = r.u32();
-      if (!count) return count.error();
-      if (*count > kMaxChunkCount)
-        return make_error(Errc::oversized, "chunk count");
-      auto digest_bytes = r.raw(crypto::Sha256::kDigestSize);
-      if (!digest_bytes) return digest_bytes.error();
-      if (auto end = r.expect_end(); !end) return end.error();
-      FileOffer offer{*id, *std::move(name), *size, *count, {}};
-      std::copy(digest_bytes->begin(), digest_bytes->end(),
-                offer.digest.begin());
-      return FileMessage(std::move(offer));
-    }
-    case kChunkTag: {
-      auto id = r.u64();
-      if (!id) return id.error();
-      auto index = r.u32();
-      if (!index) return index.error();
-      auto data = r.var_bytes();
-      if (!data) return data.error();
-      if (auto end = r.expect_end(); !end) return end.error();
-      return FileMessage(FileChunk{*id, *index, *std::move(data)});
-    }
-    default:
-      return make_error(Errc::malformed, "not a file-drop payload");
-  }
-}
 
 FileDrop::FileDrop(core::Member& member, Options options)
     : member_(member), options_(options) {
@@ -82,7 +15,7 @@ Status FileDrop::send_file(const std::string& name, BytesView content) {
 
   FileOffer offer{next_transfer_id_++, name, content.size(), chunk_count,
                   crypto::Sha256::hash(content)};
-  if (auto s = member_.send_data(encode(offer)); !s.ok()) return s;
+  if (auto s = member_.send_data(wire::encode(offer)); !s.ok()) return s;
 
   for (std::uint32_t i = 0; i < chunk_count; ++i) {
     std::size_t off = static_cast<std::size_t>(i) * chunk_size;
@@ -91,7 +24,7 @@ Status FileDrop::send_file(const std::string& name, BytesView content) {
                     Bytes(content.begin() + static_cast<std::ptrdiff_t>(off),
                           content.begin() +
                               static_cast<std::ptrdiff_t>(off + n))};
-    if (auto s = member_.send_data(encode(chunk)); !s.ok()) return s;
+    if (auto s = member_.send_data(wire::encode(chunk)); !s.ok()) return s;
   }
   return Status::success();
 }
@@ -158,7 +91,7 @@ void FileDrop::try_complete(const std::string& origin,
 
 void FileDrop::on_event(const core::GroupEvent& ev) {
   if (const auto* d = std::get_if<core::DataReceived>(&ev)) {
-    auto msg = decode_file_message(d->payload);
+    auto msg = wire::decode<FileMessage>(d->payload);
     if (!msg) {
       ++decode_failures_;
     } else if (const auto* offer = std::get_if<FileOffer>(&*msg)) {

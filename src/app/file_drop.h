@@ -20,6 +20,7 @@
 #include "core/member.h"
 #include "crypto/sha256.h"
 #include "util/result.h"
+#include "wire/fields.h"
 
 namespace enclaves::app {
 
@@ -30,6 +31,10 @@ struct FileOffer {
   std::uint32_t chunk_count = 0;
   crypto::Sha256::Digest digest{};
 
+  static constexpr std::uint8_t kWireType = 0xE1;
+  static constexpr auto kWireFields = std::tuple{
+      &FileOffer::transfer_id, &FileOffer::name, &FileOffer::total_size,
+      wire::AtMost{&FileOffer::chunk_count, 1u << 20}, &FileOffer::digest};
   friend bool operator==(const FileOffer&, const FileOffer&) = default;
 };
 
@@ -38,13 +43,14 @@ struct FileChunk {
   std::uint32_t index = 0;
   Bytes data;
 
+  static constexpr std::uint8_t kWireType = 0xE2;
+  static constexpr auto kWireFields = std::tuple{
+      &FileChunk::transfer_id, &FileChunk::index, &FileChunk::data};
   friend bool operator==(const FileChunk&, const FileChunk&) = default;
 };
 
-Bytes encode(const FileOffer& o);
-Bytes encode(const FileChunk& c);
+/// Either payload, told apart by its type octet.
 using FileMessage = std::variant<FileOffer, FileChunk>;
-Result<FileMessage> decode_file_message(BytesView raw);
 
 class FileDrop {
  public:

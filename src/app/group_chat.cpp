@@ -1,43 +1,13 @@
 #include "app/group_chat.h"
 
-#include "wire/codec.h"
-
 namespace enclaves::app {
 
-namespace {
-constexpr std::uint8_t kChatMagic = 0xC4;
-}
-
-Bytes encode(const ChatMessage& m) {
-  wire::Writer w;
-  w.u8(kChatMagic);
-  w.u8(static_cast<std::uint8_t>(m.kind));
-  w.str(m.author);
-  w.u64(m.author_seq);
-  w.str(m.content);
-  return std::move(w).take();
-}
-
-Result<ChatMessage> decode_chat_message(BytesView raw) {
-  wire::Reader r(raw);
-  auto magic = r.u8();
-  if (!magic) return magic.error();
-  if (*magic != kChatMagic)
-    return make_error(Errc::malformed, "not a chat payload");
-  auto kind = r.u8();
-  if (!kind) return kind.error();
-  if (*kind != static_cast<std::uint8_t>(ChatKind::text) &&
-      *kind != static_cast<std::uint8_t>(ChatKind::presence))
-    return make_error(Errc::malformed, "unknown chat kind");
-  auto author = r.str();
-  if (!author) return author.error();
-  auto seq = r.u64();
-  if (!seq) return seq.error();
-  auto content = r.str();
-  if (!content) return content.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-  return ChatMessage{static_cast<ChatKind>(*kind), *std::move(author),
-                     *std::move(content), *seq};
+const char* chat_kind_name(ChatKind kind) {
+  switch (kind) {
+    case ChatKind::text: return "text";
+    case ChatKind::presence: return "presence";
+  }
+  return "?";
 }
 
 GroupChat::GroupChat(core::Member& member, Options options)
@@ -48,7 +18,7 @@ GroupChat::GroupChat(core::Member& member, Options options)
 
 Status GroupChat::publish(ChatKind kind, const std::string& content) {
   ChatMessage m{kind, member_.id(), content, own_seq_++};
-  auto status = member_.send_data(encode(m));
+  auto status = member_.send_data(wire::encode(m));
   if (!status.ok()) return status;
   if (kind == ChatKind::text) remember(std::move(m));
   if (kind == ChatKind::presence) presence_[member_.id()] = content;
@@ -70,7 +40,7 @@ void GroupChat::remember(ChatMessage m) {
 
 void GroupChat::on_event(const core::GroupEvent& ev) {
   if (const auto* d = std::get_if<core::DataReceived>(&ev)) {
-    auto m = decode_chat_message(d->payload);
+    auto m = wire::decode<ChatMessage>(d->payload);
     if (!m) {
       ++decode_failures_;
     } else {

@@ -21,6 +21,7 @@
 
 #include "core/member.h"
 #include "util/result.h"
+#include "wire/fields.h"
 
 namespace enclaves::app {
 
@@ -29,18 +30,22 @@ enum class ChatKind : std::uint8_t {
   presence = 2,  // free-form status ("online", "away", ...)
 };
 
+/// Stable name of a chat kind ("?" for an octet that names none).
+const char* chat_kind_name(ChatKind kind);
+
+/// Application payload inside the encrypted data plane.
 struct ChatMessage {
   ChatKind kind = ChatKind::text;
   std::string author;
   std::string content;
   std::uint64_t author_seq = 0;  // author's own message counter
 
+  static constexpr std::uint8_t kWireType = 0xC4;
+  static constexpr auto kWireFields = std::tuple{
+      wire::Named{&ChatMessage::kind, chat_kind_name}, &ChatMessage::author,
+      &ChatMessage::author_seq, &ChatMessage::content};
   friend bool operator==(const ChatMessage&, const ChatMessage&) = default;
 };
-
-/// Application-payload codec (inside the encrypted data plane).
-Bytes encode(const ChatMessage& m);
-Result<ChatMessage> decode_chat_message(BytesView raw);
 
 class GroupChat {
  public:

@@ -23,6 +23,7 @@
 
 #include "core/member.h"
 #include "util/result.h"
+#include "wire/fields.h"
 
 namespace enclaves::app {
 
@@ -30,6 +31,8 @@ struct Version {
   std::uint64_t clock = 0;   // Lamport-ish update counter
   std::string author;        // tie-breaker
 
+  static constexpr auto kWireFields = std::tuple{
+      &Version::clock, &Version::author};
   friend bool operator==(const Version&, const Version&) = default;
   friend bool operator<(const Version& a, const Version& b) {
     if (a.clock != b.clock) return a.clock < b.clock;
@@ -42,6 +45,8 @@ struct Entry {
   Version version;
   bool tombstone = false;  // deleted entries keep their version for LWW
 
+  static constexpr auto kWireFields = std::tuple{
+      &Entry::value, &Entry::version, &Entry::tombstone};
   friend bool operator==(const Entry&, const Entry&) = default;
 };
 
@@ -49,25 +54,28 @@ struct Entry {
 struct StateUpdate {
   std::string key;
   Entry entry;
+  static constexpr std::uint8_t kWireType = 0xD1;
+  static constexpr auto kWireFields = std::tuple{
+      &StateUpdate::key, &StateUpdate::entry};
   friend bool operator==(const StateUpdate&, const StateUpdate&) = default;
 };
 struct SnapshotRequest {
+  static constexpr std::uint8_t kWireType = 0xD2;
+  static constexpr auto kWireFields = std::tuple{};
   friend bool operator==(const SnapshotRequest&,
                          const SnapshotRequest&) = default;
 };
 struct SnapshotReply {
   std::vector<StateUpdate> entries;
+  static constexpr std::uint8_t kWireType = 0xD3;
+  static constexpr auto kWireFields = std::tuple{
+      wire::Capped{&SnapshotReply::entries, 1u << 16}};
   friend bool operator==(const SnapshotReply&,
                          const SnapshotReply&) = default;
 };
 
-Bytes encode(const StateUpdate& u);
-Bytes encode(const SnapshotRequest& r);
-Bytes encode(const SnapshotReply& r);
-
-/// Decodes any of the three payloads (tagged).
+/// Any of the three payloads, told apart by their type octet.
 using StateMessage = std::variant<StateUpdate, SnapshotRequest, SnapshotReply>;
-Result<StateMessage> decode_state_message(BytesView raw);
 
 class SharedState {
  public:

@@ -278,7 +278,7 @@ void Leader::handle_group_data(const wire::Envelope& e) {
            "does not open under current Kg");
     return;
   }
-  auto payload = wire::decode_group_data(*plain);
+  auto payload = wire::decode<wire::GroupDataPayload>(*plain);
   if (!payload || payload->epoch != epoch_ || payload->origin != e.sender) {
     refuse(Refusal::relay, obs::EvidenceKind::relay_reject, e.sender,
            "stale epoch or origin mismatch");
@@ -476,7 +476,7 @@ void Leader::handle_keytree_recover(const wire::Envelope& e) {
            "recover does not open under the leaf KEK");
     return;
   }
-  auto p = wire::decode_keytree_recover(*plain);
+  auto p = wire::decode<wire::KeyTreeRecoverPayload>(*plain);
   if (!p) {
     refuse(Refusal::auth, obs::EvidenceKind::malformed, e.sender,
            "malformed keytree recover");
@@ -533,15 +533,20 @@ Result<crypto::SessionKey> Leader::expel(const std::string& member_id,
     grant_parole(member_id, *old_key);
   else
     revoke_parole(member_id);
-  ++expulsions_;
-  obs::count(config_.id, config_.id, "expulsions_total");
-  obs::trace(clock_.now(), obs::TraceKind::expel, config_.id, config_.id,
-             member_id, reason);
+  note_expulsion(member_id, reason);
   if (was_member && on_member_expelled) on_member_expelled(member_id, reason);
   // Only authenticated members get a departure fan-out; tearing down a
   // mid-handshake session must not announce a member who never joined.
   if (was_member) handle_member_closed(member_id);
   return *old_key;
+}
+
+void Leader::note_expulsion(const std::string& member_id,
+                            std::string_view reason) {
+  ++expulsions_;
+  obs::count(config_.id, config_.id, "expulsions_total");
+  obs::trace(clock_.now(), obs::TraceKind::expel, config_.id, config_.id,
+             member_id, reason);
 }
 
 void Leader::shutdown_group(const std::string& reason) {
@@ -558,12 +563,9 @@ void Leader::shutdown_group(const std::string& reason) {
   // Second pass: close every session.
   for (const auto& [id, session] : sessions_) {
     if (session->in_session()) {
-      ++expulsions_;
-      obs::count(config_.id, config_.id, "expulsions_total");
       if (session->pending_retransmit())
         obs::count(config_.id, config_.id, "exchanges_abandoned_total");
-      obs::trace(clock_.now(), obs::TraceKind::expel, config_.id, config_.id,
-                 id, reason);
+      note_expulsion(id, reason);
       if (members_.count(id) && on_member_expelled)
         on_member_expelled(id, reason);
       (void)session->force_close();
@@ -647,7 +649,7 @@ void Leader::handle_reconcile_offer(const wire::Envelope& e) {
            "offer does not open under parole Kr");
     return;
   }
-  auto p = wire::decode_reconcile_offer(*plain);
+  auto p = wire::decode<wire::ReconcileOfferPayload>(*plain);
   if (!p) {
     refuse(Refusal::auth, obs::EvidenceKind::malformed, e.sender,
            "malformed reconcile offer");
@@ -738,7 +740,7 @@ void Leader::handle_op_replay(const wire::Envelope& e) {
            "op does not open under parole Kr");
     return;
   }
-  auto p = wire::decode_op_replay(*plain);
+  auto p = wire::decode<wire::OpReplayPayload>(*plain);
   if (!p) {
     refuse(Refusal::auth, obs::EvidenceKind::malformed, e.sender,
            "malformed op replay");
@@ -893,10 +895,7 @@ std::vector<std::string> Leader::expel_stalled(std::uint32_t attempts) {
       obs::count(config_.id, config_.id, "exchanges_abandoned_total");
     if (members_.count(id)) {
       // A real member gone quiet: full expulsion (announce + rekey policy).
-      ++expulsions_;
-      obs::count(config_.id, config_.id, "expulsions_total");
-      obs::trace(clock_.now(), obs::TraceKind::expel, config_.id, config_.id,
-                 id, "stalled");
+      note_expulsion(id, "stalled");
       if (on_member_expelled) on_member_expelled(id, "stalled");
       auto old_key = it->second->force_close();
       // A liveness expulsion is reconcilable: retain Kr on parole so the

@@ -265,6 +265,9 @@ class Leader {
   /// Shared rekey bookkeeping (stats, metrics, trace, HA hook, parole GC)
   /// — called by every path that moved epoch_/kg_.
   void note_rekey();
+  /// Shared expulsion bookkeeping (stats, metric, trace) — called by every
+  /// path that expels an authenticated session.
+  void note_expulsion(const std::string& member_id, std::string_view reason);
   /// Rotates the tree for a join/leave and broadcasts the update.
   void tree_rekey(wire::KeyTreeReason reason, const std::string& member_id);
   void keytree_grow_and_rebuild();

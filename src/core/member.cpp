@@ -70,6 +70,18 @@ Status Member::leave() {
   return Status::success();
 }
 
+void Member::close_and_rejoin(std::string reason) {
+  session_.close_local();
+  drop_group_state();
+  arm_rejoin();
+  emit(SessionClosed{std::move(reason)});
+}
+
+void Member::arm_rejoin() {
+  if (auto_rejoin_ && want_membership_)
+    rejoin_retry_.arm(clock_.now(), stable_salt(id_) ^ 0x4E30);
+}
+
 void Member::drop_group_state() {
   have_kg_ = false;
   kg_ = crypto::GroupKey{};
@@ -207,7 +219,7 @@ void Member::handle_fed_redirect(const wire::Envelope& e) {
   static constexpr std::uint32_t kMaxRedirectHops = 4;
   if (connected()) return;
   if (e.recipient != id_) return;
-  auto payload = wire::decode_fed_redirect(e.body);
+  auto payload = wire::decode<wire::FedRedirectPayload>(e.body);
   if (!payload) return;
   if (payload->stale_leader != leader_id_) return;  // stale or cross hint
   if (payload->owner_leader.empty() || payload->owner_leader == leader_id_)
@@ -255,11 +267,7 @@ bool Member::apply_admin(const wire::AdminBody& body) {
             // dumps the flight-recorder window around the fence.
             refuse(Refusal::epoch_fence, obs::EvidenceKind::epoch_fenced,
                    leader_id_, "NewGroupKey below floor", b.epoch);
-            session_.close_local();
-            drop_group_state();
-            if (auto_rejoin_ && want_membership_)
-              rejoin_retry_.arm(clock_.now(), stable_salt(id_) ^ 0x4E30);
-            emit(SessionClosed{"epoch fenced"});
+            close_and_rejoin("epoch fenced");
             return false;
           }
           epoch_floor_ = b.epoch;
@@ -314,14 +322,10 @@ bool Member::apply_admin(const wire::AdminBody& body) {
             return true;
           }
           // Authenticated eviction: the leader has already discarded our
-          // session; drop all local group state.
-          session_.close_local();
-          drop_group_state();
-          // Expulsion is not a voluntary leave: if auto-rejoin is on, come
-          // back with a fresh handshake (fresh Ka — the old one is gone).
-          if (auto_rejoin_ && want_membership_)
-            rejoin_retry_.arm(clock_.now(), stable_salt(id_) ^ 0x4E30);
-          emit(SessionClosed{"expelled: " + b.reason});
+          // session; drop all local group state. Expulsion is not a
+          // voluntary leave: if auto-rejoin is on, come back with a fresh
+          // handshake (fresh Ka — the old one is gone).
+          close_and_rejoin("expelled: " + b.reason);
         }
         return true;
       },
@@ -346,7 +350,7 @@ void Member::handle_group_data(const wire::Envelope& e) {
       request_keytree_recovery();
     return;
   }
-  auto payload = wire::decode_group_data(*plain);
+  auto payload = wire::decode<wire::GroupDataPayload>(*plain);
   if (!payload || payload->epoch != epoch_ || payload->origin != e.sender) {
     refuse(Refusal::data, obs::EvidenceKind::stale_epoch, e.sender,
            "stale epoch or origin mismatch");
@@ -452,8 +456,7 @@ void Member::finish_reconcile(const char* detail, std::uint64_t value,
   oplog_.clear();
   pending_replayed_ = 0;
   drop_group_state();
-  if (auto_rejoin_ && want_membership_)
-    rejoin_retry_.arm(clock_.now(), stable_salt(id_) ^ 0x4E30);
+  arm_rejoin();
   emit(SessionClosed{std::string("reconcile ") + detail});
 }
 
@@ -469,7 +472,7 @@ void Member::handle_reconcile_verdict(const wire::Envelope& e) {
            "verdict does not open under Kr");
     return;
   }
-  auto p = wire::decode_reconcile_verdict(*plain);
+  auto p = wire::decode<wire::ReconcileVerdictPayload>(*plain);
   if (!p) {
     refuse(Refusal::auth, obs::EvidenceKind::malformed, e.sender,
            "malformed reconcile verdict");
@@ -551,7 +554,7 @@ void Member::handle_keytree_update(const wire::Envelope& e) {
     obs::count(leader_id_, id_, "keytree_unapplied_total");
     return;
   }
-  auto p = wire::decode_keytree_update(e.body);
+  auto p = wire::decode<wire::KeyTreeUpdatePayload>(e.body);
   if (!p) {
     refuse(Refusal::keytree, obs::EvidenceKind::malformed, e.sender,
            "malformed keytree update");
@@ -613,7 +616,7 @@ void Member::handle_keytree_path(const wire::Envelope& e) {
            "keytree path does not open under leaf KEK");
     return;
   }
-  auto p = wire::decode_keytree_path(*plain);
+  auto p = wire::decode<wire::KeyTreePathPayload>(*plain);
   if (!p) {
     refuse(Refusal::keytree, obs::EvidenceKind::malformed, e.sender,
            "malformed keytree path");
@@ -670,7 +673,7 @@ void Member::request_keytree_recovery() {
   obs::trace(clock_.now(), obs::TraceKind::keytree_recover, leader_id_, id_,
              leader_id_, "request", epoch_);
   if (send_) send_(leader_id_, *keytree_recover_env_);
-  keytree_retry_.record_attempt(clock_.now(), keytree_retry_policy_);
+  keytree_retry_.record_attempt(clock_.now(), RetryPolicy::every_tick());
 }
 
 std::size_t Member::tick() {
@@ -695,8 +698,7 @@ std::size_t Member::tick() {
       // start a fresh handshake on its own schedule.
       session_.close_local();
       join_retry_.disarm();
-      if (auto_rejoin_ && want_membership_)
-        rejoin_retry_.arm(now, stable_salt(id_) ^ 0x4E30);
+      arm_rejoin();
       obs::count(leader_id_, id_, "exchanges_abandoned_total");
       obs::trace(now, obs::TraceKind::leave, leader_id_, id_, leader_id_,
                  "join_exhausted");
@@ -738,13 +740,10 @@ std::size_t Member::tick() {
       // partition, not a death sentence — retain group state and start
       // offering reconciliation instead of dropping everything.
       enter_disconnected("suspected");
+      emit(SessionClosed{"leader suspected unreachable"});
     } else {
-      session_.close_local();
-      drop_group_state();
-      if (auto_rejoin_ && want_membership_)
-        rejoin_retry_.arm(now, stable_salt(id_) ^ 0x4E30);
+      close_and_rejoin("leader suspected unreachable");
     }
-    emit(SessionClosed{"leader suspected unreachable"});
   }
 
   // Disconnected-mode reconciliation: (re-)send the current offer — or the
@@ -771,22 +770,18 @@ std::size_t Member::tick() {
   }
 
   // Key-tree path recovery: retransmit the cached KEY_TREE_RECOVER
-  // byte-identically until the path lands (install clears it) or the
-  // budget runs out — a lost answer is re-answered idempotently.
+  // byte-identically every tick, without a budget, until the path lands
+  // (install clears it) — a lost answer is re-answered idempotently.
   if (keytree_recover_env_) {
     if (!connected() || !keytree_.assigned()) {
       keytree_recover_env_.reset();
       keytree_retry_.disarm();
-    } else if (keytree_retry_.exhausted(keytree_retry_policy_)) {
-      keytree_recover_env_.reset();
-      keytree_retry_.disarm();
-      obs::count(leader_id_, id_, "exchanges_abandoned_total");
-    } else if (keytree_retry_.due(now, keytree_retry_policy_)) {
+    } else if (keytree_retry_.due(now, RetryPolicy::every_tick())) {
       obs::count(leader_id_, id_, "retransmits_total");
       obs::trace(now, obs::TraceKind::retransmit, leader_id_, id_, leader_id_,
                  wire::label_name(keytree_recover_env_->label));
       if (send_) send_(leader_id_, *keytree_recover_env_);
-      keytree_retry_.record_attempt(now, keytree_retry_policy_);
+      keytree_retry_.record_attempt(now, RetryPolicy::every_tick());
       ++sent;
     }
   }

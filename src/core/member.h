@@ -92,12 +92,6 @@ class Member {
   /// True while operating partitioned with retained group state.
   bool disconnected() const { return disconnected_mode_; }
 
-  /// Retransmission schedule for KEY_TREE_RECOVER requests (default: every
-  /// tick, unlimited). Only relevant under a tree-mode leader.
-  void set_keytree_recover_policy(RetryPolicy policy) {
-    keytree_retry_policy_ = policy;
-  }
-
   /// This member's key-tree view (leaf slot + path KEKs); empty/unassigned
   /// under a flat-mode leader.
   const KeyTreeView& keytree() const { return keytree_; }
@@ -209,6 +203,11 @@ class Member {
   void send_next_op();
   void finish_reconcile(const char* detail, std::uint64_t value, bool success);
   void drop_group_state();
+  /// Involuntary exit (epoch fence, expulsion, suspected leader): closes the
+  /// session, drops group state, arms auto-rejoin, emits SessionClosed.
+  void close_and_rejoin(std::string reason);
+  /// Arms auto-rejoin, if enabled and membership is still wanted.
+  void arm_rejoin();
   void advance_failover_target();
   void note_activity() { last_activity_ = clock_.now(); }
 
@@ -275,7 +274,6 @@ class Member {
   // armed by the first KeyTreeAssign admin body; the recovery envelope is
   // cached for byte-identical retransmission until the path lands.
   KeyTreeView keytree_;
-  RetryPolicy keytree_retry_policy_ = RetryPolicy::every_tick();
   RetryState keytree_retry_;
   crypto::ProtocolNonce keytree_nonce_;
   std::optional<wire::Envelope> keytree_recover_env_;

@@ -239,25 +239,25 @@ void FedNode::handle_fed(const wire::Envelope& e) {
   };
   switch (e.label) {
     case Label::FedMigrateOffer: {
-      auto p = wire::decode_fed_migrate_offer(*plain);
+      auto p = wire::decode<wire::FedMigrateOfferPayload>(*plain);
       if (!p) return malformed(p.error());
       migrator_.handle_offer(*p);
       return;
     }
     case Label::FedMigrateAck: {
-      auto p = wire::decode_fed_migrate_ack(*plain);
+      auto p = wire::decode<wire::FedMigrateAckPayload>(*plain);
       if (!p) return malformed(p.error());
       migrator_.handle_ack(*p);
       return;
     }
     case Label::FedMigrateCommit: {
-      auto p = wire::decode_fed_migrate_commit(*plain);
+      auto p = wire::decode<wire::FedMigrateCommitPayload>(*plain);
       if (!p) return malformed(p.error());
       migrator_.handle_commit(*p);
       return;
     }
     case Label::FedDirSync: {
-      auto p = wire::decode_fed_dir_sync(*plain);
+      auto p = wire::decode<wire::FedDirSyncPayload>(*plain);
       if (!p) return malformed(p.error());
       const Directory::Claim claim =
           directory_.claim(p->group, p->owner_shard, p->version);

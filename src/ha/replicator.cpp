@@ -141,7 +141,7 @@ void LeaderReplicator::handle(const wire::Envelope& e) {
   if (e.label != wire::Label::ReplAck) return;
   auto plain = wire::open_sealed(aead_, config_.repl_key.view(), e);
   if (!plain) return;  // forged or mis-keyed: ignore
-  auto ack = wire::decode_repl_ack(*plain);
+  auto ack = wire::decode<wire::ReplAckPayload>(*plain);
   if (!ack) return;
 
   if (ack->fenced) {

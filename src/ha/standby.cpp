@@ -48,7 +48,7 @@ void StandbyLeader::handle(const wire::Envelope& e) {
 
   switch (e.label) {
     case wire::Label::ReplSnapshot: {
-      auto payload = wire::decode_repl_snapshot(*plain);
+      auto payload = wire::decode<wire::ReplSnapshotPayload>(*plain);
       if (!payload) {
         ++stats_.rejects;
         return;
@@ -78,7 +78,7 @@ void StandbyLeader::handle(const wire::Envelope& e) {
       return;
     }
     case wire::Label::ReplDelta: {
-      auto payload = wire::decode_repl_delta(*plain);
+      auto payload = wire::decode<wire::ReplDeltaPayload>(*plain);
       if (!payload) {
         ++stats_.rejects;
         return;
@@ -107,7 +107,7 @@ void StandbyLeader::handle(const wire::Envelope& e) {
       return;
     }
     case wire::Label::ReplHeartbeat: {
-      auto payload = wire::decode_repl_heartbeat(*plain);
+      auto payload = wire::decode<wire::ReplHeartbeatPayload>(*plain);
       if (!payload) {
         ++stats_.rejects;
         return;

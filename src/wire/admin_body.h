@@ -13,6 +13,7 @@
 #include "crypto/keys.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "wire/fields.h"
 
 namespace enclaves::wire {
 
@@ -21,16 +22,23 @@ namespace enclaves::wire {
 struct NewGroupKey {
   crypto::GroupKey key;
   std::uint64_t epoch = 0;
+  static constexpr std::uint8_t kWireType = 1;
+  static constexpr auto kWireFields = std::tuple{
+      &NewGroupKey::key, &NewGroupKey::epoch};
   friend bool operator==(const NewGroupKey&, const NewGroupKey&) = default;
 };
 
 struct MemberJoined {
   std::string member;
+  static constexpr std::uint8_t kWireType = 2;
+  static constexpr auto kWireFields = std::tuple{&MemberJoined::member};
   friend bool operator==(const MemberJoined&, const MemberJoined&) = default;
 };
 
 struct MemberLeft {
   std::string member;
+  static constexpr std::uint8_t kWireType = 3;
+  static constexpr auto kWireFields = std::tuple{&MemberLeft::member};
   friend bool operator==(const MemberLeft&, const MemberLeft&) = default;
 };
 
@@ -39,6 +47,9 @@ struct MemberLeft {
 /// other group members").
 struct MemberList {
   std::vector<std::string> members;
+  static constexpr std::uint8_t kWireType = 4;
+  static constexpr auto kWireFields = std::tuple{
+      Capped{&MemberList::members, 1u << 16}};
   friend bool operator==(const MemberList&, const MemberList&) = default;
 };
 
@@ -46,6 +57,8 @@ struct MemberList {
 /// control traffic).
 struct Notice {
   std::string text;
+  static constexpr std::uint8_t kWireType = 5;
+  static constexpr auto kWireFields = std::tuple{&Notice::text};
   friend bool operator==(const Notice&, const Notice&) = default;
 };
 
@@ -55,6 +68,8 @@ struct Notice {
 /// close handling it cannot be forged by insiders.
 struct Expelled {
   std::string reason;
+  static constexpr std::uint8_t kWireType = 6;
+  static constexpr auto kWireFields = std::tuple{&Expelled::reason};
   friend bool operator==(const Expelled&, const Expelled&) = default;
 };
 
@@ -67,14 +82,14 @@ struct Expelled {
 struct KeyTreeAssign {
   std::uint32_t leaf = 0;   // heap index of the member's leaf node
   std::uint32_t depth = 0;  // tree depth the index lives in
+  static constexpr std::uint8_t kWireType = 7;
+  static constexpr auto kWireFields = std::tuple{
+      &KeyTreeAssign::leaf, &KeyTreeAssign::depth};
   friend bool operator==(const KeyTreeAssign&, const KeyTreeAssign&) = default;
 };
 
 using AdminBody = std::variant<NewGroupKey, MemberJoined, MemberLeft,
                                MemberList, Notice, Expelled, KeyTreeAssign>;
-
-Bytes encode(const AdminBody& body);
-Result<AdminBody> decode_admin_body(BytesView raw);
 
 /// Human-readable description for narration/logging.
 std::string describe(const AdminBody& body);

@@ -49,6 +49,9 @@ class Reader {
   Result<Bytes> raw(std::size_t n);
   Result<Bytes> var_bytes();
   Result<std::string> str();
+  /// As raw() and var_bytes(), but viewing the input instead of copying it.
+  Result<BytesView> view(std::size_t n);
+  Result<BytesView> var_view();
 
   std::size_t remaining() const { return in_.size() - pos_; }
   bool at_end() const { return remaining() == 0; }

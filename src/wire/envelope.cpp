@@ -1,7 +1,5 @@
 #include "wire/envelope.h"
 
-#include "wire/codec.h"
-
 namespace enclaves::wire {
 
 const char* label_name(Label label) {
@@ -45,75 +43,7 @@ const char* label_name(Label label) {
 }
 
 bool is_known_label(std::uint8_t raw) {
-  switch (static_cast<Label>(raw)) {
-    case Label::AuthInitReq:
-    case Label::AuthKeyDist:
-    case Label::AuthAckKey:
-    case Label::AdminMsg:
-    case Label::Ack:
-    case Label::ReqClose:
-    case Label::LegacyReqOpen:
-    case Label::LegacyAckOpen:
-    case Label::LegacyConnectionDenied:
-    case Label::LegacyAuthInit:
-    case Label::LegacyAuthReply:
-    case Label::LegacyAuthAck:
-    case Label::LegacyNewKey:
-    case Label::LegacyNewKeyAck:
-    case Label::LegacyMemRemoved:
-    case Label::LegacyMemAdded:
-    case Label::LegacyReqClose:
-    case Label::LegacyCloseConnection:
-    case Label::GroupData:
-    case Label::ReplDelta:
-    case Label::ReplSnapshot:
-    case Label::ReplAck:
-    case Label::ReplHeartbeat:
-    case Label::ReconcileOffer:
-    case Label::ReconcileVerdict:
-    case Label::OpReplay:
-    case Label::KeyTreeUpdate:
-    case Label::KeyTreeRecover:
-    case Label::KeyTreePath:
-    case Label::FedRedirect:
-    case Label::FedMigrateOffer:
-    case Label::FedMigrateAck:
-    case Label::FedMigrateCommit:
-    case Label::FedDirSync:
-      return true;
-  }
-  return false;
-}
-
-Bytes encode(const Envelope& e) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(e.label));
-  w.str(e.sender);
-  w.str(e.recipient);
-  w.var_bytes(e.body);
-  return std::move(w).take();
-}
-
-Result<Envelope> decode_envelope(BytesView raw) {
-  Reader r(raw);
-  auto label = r.u8();
-  if (!label) return label.error();
-  if (!is_known_label(*label))
-    return make_error(Errc::malformed, "unknown label");
-  auto sender = r.str();
-  if (!sender) return sender.error();
-  auto recipient = r.str();
-  if (!recipient) return recipient.error();
-  auto body = r.var_bytes();
-  if (!body) return body.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-
-  Envelope e;
-  e.label = static_cast<Label>(*label);
-  e.sender = *std::move(sender);
-  e.recipient = *std::move(recipient);
-  e.body = *std::move(body);
-  return e;
+  return *label_name(static_cast<Label>(raw)) != '?';
 }
 
 std::string describe(const Envelope& e) {

@@ -12,6 +12,7 @@
 
 #include "util/bytes.h"
 #include "util/result.h"
+#include "wire/fields.h"
 
 namespace enclaves::wire {
 
@@ -90,11 +91,16 @@ struct Envelope {
   std::string recipient;  // intended recipient — untrusted
   Bytes body;             // label-specific content
 
+  static constexpr auto kWireFields = std::tuple{
+      Named{&Envelope::label, label_name}, &Envelope::sender,
+      &Envelope::recipient, &Envelope::body};
   friend bool operator==(const Envelope&, const Envelope&) = default;
 };
 
-Bytes encode(const Envelope& e);
-Result<Envelope> decode_envelope(BytesView raw);
+/// decode<Envelope>, under the name transports and tools call it by.
+inline Result<Envelope> decode_envelope(BytesView raw) {
+  return decode<Envelope>(raw);
+}
 
 /// Short one-line description for narration, e.g. "AdminMsg L->A (52B)".
 std::string describe(const Envelope& e);

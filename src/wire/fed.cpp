@@ -1,30 +1,6 @@
 #include "wire/fed.h"
 
-#include "wire/codec.h"
-
 namespace enclaves::wire {
-
-namespace {
-
-// Type octets: 0xC0 range, disjoint from protocol (0xA0) and repl (0xB0)
-// payloads, so nothing sealed under one plane's key can parse as another's.
-enum class P : std::uint8_t {
-  fed_redirect = 0xC1,
-  fed_migrate_offer = 0xC2,
-  fed_migrate_ack = 0xC3,
-  fed_migrate_commit = 0xC4,
-  fed_dir_sync = 0xC5,
-};
-
-Status expect_type(Reader& r, P want) {
-  auto t = r.u8();
-  if (!t) return t.error();
-  if (*t != static_cast<std::uint8_t>(want))
-    return make_error(Errc::malformed, "fed payload type mismatch");
-  return Status::success();
-}
-
-}  // namespace
 
 const char* fed_migrate_verdict_name(FedMigrateVerdict verdict) {
   switch (verdict) {
@@ -32,156 +8,6 @@ const char* fed_migrate_verdict_name(FedMigrateVerdict verdict) {
     case FedMigrateVerdict::refuse: return "refuse";
   }
   return "?";
-}
-
-bool is_known_fed_migrate_verdict(std::uint8_t raw) {
-  switch (static_cast<FedMigrateVerdict>(raw)) {
-    case FedMigrateVerdict::accept:
-    case FedMigrateVerdict::refuse:
-      return true;
-  }
-  return false;
-}
-
-Bytes encode(const FedRedirectPayload& p) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(P::fed_redirect));
-  w.str(p.group);
-  w.str(p.stale_leader);
-  w.str(p.owner_leader);
-  w.u64(p.dir_version);
-  return std::move(w).take();
-}
-
-Result<FedRedirectPayload> decode_fed_redirect(BytesView raw) {
-  Reader r(raw);
-  if (auto t = expect_type(r, P::fed_redirect); !t) return t.error();
-  auto group = r.str();
-  if (!group) return group.error();
-  auto stale = r.str();
-  if (!stale) return stale.error();
-  auto owner = r.str();
-  if (!owner) return owner.error();
-  auto version = r.u64();
-  if (!version) return version.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-  return FedRedirectPayload{*std::move(group), *std::move(stale),
-                            *std::move(owner), *version};
-}
-
-Bytes encode(const FedMigrateOfferPayload& p) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(P::fed_migrate_offer));
-  w.str(p.group);
-  w.str(p.source_shard);
-  w.str(p.target_shard);
-  w.u64(p.migration_id);
-  w.u64(p.epoch);
-  w.u64(p.dir_version);
-  w.var_bytes(p.snapshot);
-  return std::move(w).take();
-}
-
-Result<FedMigrateOfferPayload> decode_fed_migrate_offer(BytesView raw) {
-  Reader r(raw);
-  if (auto t = expect_type(r, P::fed_migrate_offer); !t) return t.error();
-  FedMigrateOfferPayload p;
-  auto group = r.str();
-  if (!group) return group.error();
-  p.group = *std::move(group);
-  auto source = r.str();
-  if (!source) return source.error();
-  p.source_shard = *std::move(source);
-  auto target = r.str();
-  if (!target) return target.error();
-  p.target_shard = *std::move(target);
-  auto id = r.u64();
-  if (!id) return id.error();
-  p.migration_id = *id;
-  auto epoch = r.u64();
-  if (!epoch) return epoch.error();
-  p.epoch = *epoch;
-  auto version = r.u64();
-  if (!version) return version.error();
-  p.dir_version = *version;
-  auto snapshot = r.var_bytes();
-  if (!snapshot) return snapshot.error();
-  p.snapshot = *std::move(snapshot);
-  if (auto end = r.expect_end(); !end) return end.error();
-  return p;
-}
-
-Bytes encode(const FedMigrateAckPayload& p) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(P::fed_migrate_ack));
-  w.str(p.group);
-  w.u64(p.migration_id);
-  w.u8(static_cast<std::uint8_t>(p.verdict));
-  w.u64(p.fenced_epoch);
-  return std::move(w).take();
-}
-
-Result<FedMigrateAckPayload> decode_fed_migrate_ack(BytesView raw) {
-  Reader r(raw);
-  if (auto t = expect_type(r, P::fed_migrate_ack); !t) return t.error();
-  auto group = r.str();
-  if (!group) return group.error();
-  auto id = r.u64();
-  if (!id) return id.error();
-  auto verdict = r.u8();
-  if (!verdict) return verdict.error();
-  if (!is_known_fed_migrate_verdict(*verdict))
-    return make_error(Errc::malformed, "unknown migrate verdict");
-  auto fenced = r.u64();
-  if (!fenced) return fenced.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-  return FedMigrateAckPayload{*std::move(group), *id,
-                              static_cast<FedMigrateVerdict>(*verdict),
-                              *fenced};
-}
-
-Bytes encode(const FedMigrateCommitPayload& p) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(P::fed_migrate_commit));
-  w.str(p.group);
-  w.u64(p.migration_id);
-  w.u64(p.dir_version);
-  return std::move(w).take();
-}
-
-Result<FedMigrateCommitPayload> decode_fed_migrate_commit(BytesView raw) {
-  Reader r(raw);
-  if (auto t = expect_type(r, P::fed_migrate_commit); !t) return t.error();
-  auto group = r.str();
-  if (!group) return group.error();
-  auto id = r.u64();
-  if (!id) return id.error();
-  auto version = r.u64();
-  if (!version) return version.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-  return FedMigrateCommitPayload{*std::move(group), *id, *version};
-}
-
-Bytes encode(const FedDirSyncPayload& p) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(P::fed_dir_sync));
-  w.str(p.group);
-  w.str(p.owner_shard);
-  w.u64(p.version);
-  return std::move(w).take();
-}
-
-Result<FedDirSyncPayload> decode_fed_dir_sync(BytesView raw) {
-  Reader r(raw);
-  if (auto t = expect_type(r, P::fed_dir_sync); !t) return t.error();
-  auto group = r.str();
-  if (!group) return group.error();
-  auto owner = r.str();
-  if (!owner) return owner.error();
-  auto version = r.u64();
-  if (!version) return version.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-  return FedDirSyncPayload{*std::move(group), *std::move(owner), *version};
 }
 
 }  // namespace enclaves::wire

@@ -21,8 +21,9 @@
 //                   shard replaying its pre-migration claim is refused with
 //                   ledger evidence rather than rolling the directory back.
 //
-// Like payloads.h/repl.h, every payload starts with a distinct type octet
-// (0xC0 range) and decoders reject trailing bytes.
+// Like payloads.h/repl.h, every payload starts with a type octet unique
+// within the family (0xC1-0xC5, reusing reconcile's range: messages.h) and
+// decoders reject trailing bytes.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +31,7 @@
 
 #include "util/bytes.h"
 #include "util/result.h"
+#include "wire/fields.h"
 
 namespace enclaves::wire {
 
@@ -40,6 +42,10 @@ struct FedRedirectPayload {
   std::string stale_leader;  // the leader id the member targeted
   std::string owner_leader;  // where the group actually lives ("shard/g")
   std::uint64_t dir_version = 0;  // sender's directory version for the group
+  static constexpr std::uint8_t kWireType = 0xC1;
+  static constexpr auto kWireFields = std::tuple{
+      &FedRedirectPayload::group, &FedRedirectPayload::stale_leader,
+      &FedRedirectPayload::owner_leader, &FedRedirectPayload::dir_version};
   friend bool operator==(const FedRedirectPayload&,
                          const FedRedirectPayload&) = default;
 };
@@ -55,6 +61,12 @@ struct FedMigrateOfferPayload {
   std::uint64_t epoch = 0;         // source's epoch at freeze
   std::uint64_t dir_version = 0;   // source's ownership version for `group`
   Bytes snapshot;                  // sealed LeaderSnapshot blob
+  static constexpr std::uint8_t kWireType = 0xC2;
+  static constexpr auto kWireFields = std::tuple{
+      &FedMigrateOfferPayload::group, &FedMigrateOfferPayload::source_shard,
+      &FedMigrateOfferPayload::target_shard,
+      &FedMigrateOfferPayload::migration_id, &FedMigrateOfferPayload::epoch,
+      &FedMigrateOfferPayload::dir_version, &FedMigrateOfferPayload::snapshot};
   friend bool operator==(const FedMigrateOfferPayload&,
                          const FedMigrateOfferPayload&) = default;
 };
@@ -66,7 +78,6 @@ enum class FedMigrateVerdict : std::uint8_t {
 };
 
 const char* fed_migrate_verdict_name(FedMigrateVerdict verdict);
-bool is_known_fed_migrate_verdict(std::uint8_t raw);
 
 /// Target -> source: answer to an offer. On accept, `fenced_epoch` is the
 /// epoch floor the target installed (offer epoch + fence jump) — everything
@@ -77,6 +88,11 @@ struct FedMigrateAckPayload {
   std::uint64_t migration_id = 0;
   FedMigrateVerdict verdict = FedMigrateVerdict::refuse;
   std::uint64_t fenced_epoch = 0;  // 0 on refuse
+  static constexpr std::uint8_t kWireType = 0xC3;
+  static constexpr auto kWireFields = std::tuple{
+      &FedMigrateAckPayload::group, &FedMigrateAckPayload::migration_id,
+      Named{&FedMigrateAckPayload::verdict, fed_migrate_verdict_name},
+      &FedMigrateAckPayload::fenced_epoch};
   friend bool operator==(const FedMigrateAckPayload&,
                          const FedMigrateAckPayload&) = default;
 };
@@ -87,6 +103,10 @@ struct FedMigrateCommitPayload {
   std::string group;
   std::uint64_t migration_id = 0;
   std::uint64_t dir_version = 0;  // the version the new ownership carries
+  static constexpr std::uint8_t kWireType = 0xC4;
+  static constexpr auto kWireFields = std::tuple{
+      &FedMigrateCommitPayload::group, &FedMigrateCommitPayload::migration_id,
+      &FedMigrateCommitPayload::dir_version};
   friend bool operator==(const FedMigrateCommitPayload&,
                          const FedMigrateCommitPayload&) = default;
 };
@@ -96,20 +116,12 @@ struct FedDirSyncPayload {
   std::string group;
   std::string owner_shard;
   std::uint64_t version = 0;
+  static constexpr std::uint8_t kWireType = 0xC5;
+  static constexpr auto kWireFields = std::tuple{
+      &FedDirSyncPayload::group, &FedDirSyncPayload::owner_shard,
+      &FedDirSyncPayload::version};
   friend bool operator==(const FedDirSyncPayload&,
                          const FedDirSyncPayload&) = default;
 };
-
-Bytes encode(const FedRedirectPayload& p);
-Bytes encode(const FedMigrateOfferPayload& p);
-Bytes encode(const FedMigrateAckPayload& p);
-Bytes encode(const FedMigrateCommitPayload& p);
-Bytes encode(const FedDirSyncPayload& p);
-
-Result<FedRedirectPayload> decode_fed_redirect(BytesView raw);
-Result<FedMigrateOfferPayload> decode_fed_migrate_offer(BytesView raw);
-Result<FedMigrateAckPayload> decode_fed_migrate_ack(BytesView raw);
-Result<FedMigrateCommitPayload> decode_fed_migrate_commit(BytesView raw);
-Result<FedDirSyncPayload> decode_fed_dir_sync(BytesView raw);
 
 }  // namespace enclaves::wire

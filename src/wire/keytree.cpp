@@ -1,32 +1,6 @@
 #include "wire/keytree.h"
 
-#include "wire/codec.h"
-
 namespace enclaves::wire {
-
-namespace {
-
-// Distinct leading type octets (cf. payloads.cpp, reconcile.cpp).
-constexpr std::uint8_t kTagNodeKek = 0x60;
-constexpr std::uint8_t kTagUpdate = 0x61;
-constexpr std::uint8_t kTagRecover = 0x62;
-constexpr std::uint8_t kTagPath = 0x63;
-
-// A tree of depth 20 holds 1M leaves; anything deeper is a forged header.
-constexpr std::uint32_t kMaxDepth = 20;
-// An update rotates at most one path (2 entries/level) or rebuilds the tree
-// (one entry per occupied child); cap well above both for 2^20 leaves.
-constexpr std::uint32_t kMaxEntries = 1 << 21;
-constexpr std::uint32_t kMaxPathLen = kMaxDepth + 1;
-
-Status read_tag(Reader& r, std::uint8_t want, const char* what) {
-  auto tag = r.u8();
-  if (!tag) return tag.error();
-  if (*tag != want) return make_error(Errc::malformed, what);
-  return Status::success();
-}
-
-}  // namespace
 
 const char* keytree_reason_name(KeyTreeReason reason) {
   switch (reason) {
@@ -36,196 +10,6 @@ const char* keytree_reason_name(KeyTreeReason reason) {
     case KeyTreeReason::rebuild: return "rebuild";
   }
   return "?";
-}
-
-bool is_known_keytree_reason(std::uint8_t raw) {
-  switch (static_cast<KeyTreeReason>(raw)) {
-    case KeyTreeReason::join:
-    case KeyTreeReason::leave:
-    case KeyTreeReason::manual:
-    case KeyTreeReason::rebuild:
-      return true;
-  }
-  return false;
-}
-
-Bytes encode(const KeyTreeNodeKek& p) {
-  Writer w;
-  w.u8(kTagNodeKek);
-  w.u32(p.node);
-  w.u64(p.epoch);
-  w.raw(p.kek.view());
-  return std::move(w).take();
-}
-
-Result<KeyTreeNodeKek> decode_keytree_node_kek(BytesView raw) {
-  Reader r(raw);
-  if (auto s = read_tag(r, kTagNodeKek, "bad node-kek tag"); !s)
-    return s.error();
-  auto node = r.u32();
-  if (!node) return node.error();
-  auto epoch = r.u64();
-  if (!epoch) return epoch.error();
-  auto kek = r.raw(crypto::kKeyBytes);
-  if (!kek) return kek.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-  return KeyTreeNodeKek{*node, *epoch, crypto::GroupKey::from_bytes(*kek)};
-}
-
-Bytes encode(const KeyTreeUpdatePayload& p) {
-  Writer w;
-  w.u8(kTagUpdate);
-  w.str(p.l);
-  w.u64(p.epoch);
-  w.u8(static_cast<std::uint8_t>(p.reason));
-  w.u32(p.depth);
-  w.u32(static_cast<std::uint32_t>(p.entries.size()));
-  for (const auto& e : p.entries) {
-    w.u32(e.node);
-    w.u32(e.carrier);
-    w.var_bytes(e.sealed);
-  }
-  w.raw({p.confirm.data(), p.confirm.size()});
-  return std::move(w).take();
-}
-
-Result<KeyTreeUpdatePayload> decode_keytree_update(BytesView raw) {
-  Reader r(raw);
-  if (auto s = read_tag(r, kTagUpdate, "bad keytree-update tag"); !s)
-    return s.error();
-  KeyTreeUpdatePayload p;
-  auto l = r.str();
-  if (!l) return l.error();
-  p.l = *std::move(l);
-  auto epoch = r.u64();
-  if (!epoch) return epoch.error();
-  p.epoch = *epoch;
-  auto reason = r.u8();
-  if (!reason) return reason.error();
-  if (!is_known_keytree_reason(*reason))
-    return make_error(Errc::malformed, "unknown keytree reason");
-  p.reason = static_cast<KeyTreeReason>(*reason);
-  auto depth = r.u32();
-  if (!depth) return depth.error();
-  if (*depth > kMaxDepth) return make_error(Errc::oversized, "keytree depth");
-  p.depth = *depth;
-  auto count = r.u32();
-  if (!count) return count.error();
-  if (*count > kMaxEntries)
-    return make_error(Errc::oversized, "keytree entry count");
-  p.entries.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    KeyTreeEntry e;
-    auto node = r.u32();
-    if (!node) return node.error();
-    e.node = *node;
-    auto carrier = r.u32();
-    if (!carrier) return carrier.error();
-    e.carrier = *carrier;
-    auto sealed = r.var_bytes();
-    if (!sealed) return sealed.error();
-    e.sealed = *std::move(sealed);
-    p.entries.push_back(std::move(e));
-  }
-  auto confirm = r.raw(crypto::HmacSha256::kTagSize);
-  if (!confirm) return confirm.error();
-  std::copy(confirm->begin(), confirm->end(), p.confirm.begin());
-  if (auto end = r.expect_end(); !end) return end.error();
-  return p;
-}
-
-Bytes encode(const KeyTreeRecoverPayload& p) {
-  Writer w;
-  w.u8(kTagRecover);
-  w.str(p.a);
-  w.str(p.l);
-  w.raw(p.nr.view());
-  w.u64(p.have_epoch);
-  return std::move(w).take();
-}
-
-Result<KeyTreeRecoverPayload> decode_keytree_recover(BytesView raw) {
-  Reader r(raw);
-  if (auto s = read_tag(r, kTagRecover, "bad keytree-recover tag"); !s)
-    return s.error();
-  KeyTreeRecoverPayload p;
-  auto a = r.str();
-  if (!a) return a.error();
-  p.a = *std::move(a);
-  auto l = r.str();
-  if (!l) return l.error();
-  p.l = *std::move(l);
-  auto nr = r.raw(crypto::kNonceBytes);
-  if (!nr) return nr.error();
-  p.nr = crypto::ProtocolNonce::from_bytes(*nr);
-  auto have = r.u64();
-  if (!have) return have.error();
-  p.have_epoch = *have;
-  if (auto end = r.expect_end(); !end) return end.error();
-  return p;
-}
-
-Bytes encode(const KeyTreePathPayload& p) {
-  Writer w;
-  w.u8(kTagPath);
-  w.str(p.l);
-  w.str(p.a);
-  w.raw(p.nr.view());
-  w.u64(p.epoch);
-  w.u32(p.leaf);
-  w.u32(static_cast<std::uint32_t>(p.path.size()));
-  for (const auto& n : p.path) {
-    w.u32(n.node);
-    w.u64(n.epoch);
-    w.raw(n.kek.view());
-  }
-  w.raw({p.confirm.data(), p.confirm.size()});
-  return std::move(w).take();
-}
-
-Result<KeyTreePathPayload> decode_keytree_path(BytesView raw) {
-  Reader r(raw);
-  if (auto s = read_tag(r, kTagPath, "bad keytree-path tag"); !s)
-    return s.error();
-  KeyTreePathPayload p;
-  auto l = r.str();
-  if (!l) return l.error();
-  p.l = *std::move(l);
-  auto a = r.str();
-  if (!a) return a.error();
-  p.a = *std::move(a);
-  auto nr = r.raw(crypto::kNonceBytes);
-  if (!nr) return nr.error();
-  p.nr = crypto::ProtocolNonce::from_bytes(*nr);
-  auto epoch = r.u64();
-  if (!epoch) return epoch.error();
-  p.epoch = *epoch;
-  auto leaf = r.u32();
-  if (!leaf) return leaf.error();
-  p.leaf = *leaf;
-  auto count = r.u32();
-  if (!count) return count.error();
-  if (*count > kMaxPathLen)
-    return make_error(Errc::oversized, "keytree path length");
-  p.path.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    KeyTreeNodeKek n;
-    auto node = r.u32();
-    if (!node) return node.error();
-    n.node = *node;
-    auto ne = r.u64();
-    if (!ne) return ne.error();
-    n.epoch = *ne;
-    auto kek = r.raw(crypto::kKeyBytes);
-    if (!kek) return kek.error();
-    n.kek = crypto::GroupKey::from_bytes(*kek);
-    p.path.push_back(n);
-  }
-  auto confirm = r.raw(crypto::HmacSha256::kTagSize);
-  if (!confirm) return confirm.error();
-  std::copy(confirm->begin(), confirm->end(), p.confirm.begin());
-  if (auto end = r.expect_end(); !end) return end.error();
-  return p;
 }
 
 }  // namespace enclaves::wire

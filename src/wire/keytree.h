@@ -28,8 +28,9 @@
 // nonce) and the leader answers with KEY_TREE_PATH, the member's O(log N)
 // path re-sealed under the same leaf KEK with the nonce echoed.
 //
-// Like payloads.h, every payload starts with a distinct type octet and
-// decoders reject trailing bytes.
+// Like payloads.h, every payload starts with a type octet unique within the
+// family (0x60-0x63) and decoders reject trailing bytes. Path and update
+// entries are nested inline, without their own octet.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +41,15 @@
 #include "crypto/keys.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "wire/fields.h"
 
 namespace enclaves::wire {
+
+/// A tree of depth 20 holds 1M leaves; anything deeper is a forged header.
+inline constexpr std::uint32_t kMaxKeyTreeDepth = 20;
+/// An update rotates at most one path (2 entries/level) or rebuilds the tree
+/// (one entry per occupied child); cap well above both for 2^20 leaves.
+inline constexpr std::uint32_t kMaxKeyTreeEntries = 1 << 21;
 
 /// Why a tree rekey happened — carried in the clear for observability; all
 /// security decisions rest on the sealed entries and the confirmation tag.
@@ -53,7 +61,6 @@ enum class KeyTreeReason : std::uint8_t {
 };
 
 const char* keytree_reason_name(KeyTreeReason reason);
-bool is_known_keytree_reason(std::uint8_t raw);
 
 /// One rotated node: the node's NEW KEK, sealed under the current KEK of
 /// `carrier` (one of the node's children, or a leaf). The sealed blob is a
@@ -62,6 +69,8 @@ struct KeyTreeEntry {
   std::uint32_t node = 0;     // heap index of the rotated node (1 = root)
   std::uint32_t carrier = 0;  // heap index whose current KEK seals this entry
   Bytes sealed;               // aead_nonce || ciphertext || tag
+  static constexpr auto kWireFields = std::tuple{
+      &KeyTreeEntry::node, &KeyTreeEntry::carrier, &KeyTreeEntry::sealed};
   friend bool operator==(const KeyTreeEntry&, const KeyTreeEntry&) = default;
 };
 
@@ -72,6 +81,9 @@ struct KeyTreeNodeKek {
   std::uint32_t node = 0;
   std::uint64_t epoch = 0;
   crypto::GroupKey kek;  // 32-byte KEK (GroupKey wrapper reused for size)
+  static constexpr std::uint8_t kWireType = 0x60;
+  static constexpr auto kWireFields = std::tuple{
+      &KeyTreeNodeKek::node, &KeyTreeNodeKek::epoch, &KeyTreeNodeKek::kek};
   friend bool operator==(const KeyTreeNodeKek&,
                          const KeyTreeNodeKek&) = default;
 };
@@ -87,6 +99,13 @@ struct KeyTreeUpdatePayload {
   std::uint32_t depth = 0;    // tree depth (leaves live at heap level depth)
   std::vector<KeyTreeEntry> entries;
   crypto::HmacSha256::Tag confirm = {};
+  static constexpr std::uint8_t kWireType = 0x61;
+  static constexpr auto kWireFields = std::tuple{
+      &KeyTreeUpdatePayload::l, &KeyTreeUpdatePayload::epoch,
+      Named{&KeyTreeUpdatePayload::reason, keytree_reason_name},
+      AtMost{&KeyTreeUpdatePayload::depth, kMaxKeyTreeDepth},
+      Capped{&KeyTreeUpdatePayload::entries, kMaxKeyTreeEntries},
+      &KeyTreeUpdatePayload::confirm};
   friend bool operator==(const KeyTreeUpdatePayload&,
                          const KeyTreeUpdatePayload&) = default;
 };
@@ -99,6 +118,10 @@ struct KeyTreeRecoverPayload {
   std::string l;                 // leader id
   crypto::ProtocolNonce nr;      // freshness nonce, echoed in KEY_TREE_PATH
   std::uint64_t have_epoch = 0;  // newest epoch the member holds
+  static constexpr std::uint8_t kWireType = 0x62;
+  static constexpr auto kWireFields = std::tuple{
+      &KeyTreeRecoverPayload::a, &KeyTreeRecoverPayload::l,
+      &KeyTreeRecoverPayload::nr, &KeyTreeRecoverPayload::have_epoch};
   friend bool operator==(const KeyTreeRecoverPayload&,
                          const KeyTreeRecoverPayload&) = default;
 };
@@ -119,18 +142,14 @@ struct KeyTreePathPayload {
   // a tampered entry is refused at install instead of surfacing later as
   // an undecryptable subtree.
   crypto::HmacSha256::Tag confirm = {};
+  static constexpr std::uint8_t kWireType = 0x63;
+  static constexpr auto kWireFields = std::tuple{
+      &KeyTreePathPayload::l, &KeyTreePathPayload::a, &KeyTreePathPayload::nr,
+      &KeyTreePathPayload::epoch, &KeyTreePathPayload::leaf,
+      Capped{&KeyTreePathPayload::path, kMaxKeyTreeDepth + 1},
+      &KeyTreePathPayload::confirm};
   friend bool operator==(const KeyTreePathPayload&,
                          const KeyTreePathPayload&) = default;
 };
-
-Bytes encode(const KeyTreeNodeKek& p);
-Bytes encode(const KeyTreeUpdatePayload& p);
-Bytes encode(const KeyTreeRecoverPayload& p);
-Bytes encode(const KeyTreePathPayload& p);
-
-Result<KeyTreeNodeKek> decode_keytree_node_kek(BytesView raw);
-Result<KeyTreeUpdatePayload> decode_keytree_update(BytesView raw);
-Result<KeyTreeRecoverPayload> decode_keytree_recover(BytesView raw);
-Result<KeyTreePathPayload> decode_keytree_path(BytesView raw);
 
 }  // namespace enclaves::wire

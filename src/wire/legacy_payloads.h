@@ -15,6 +15,7 @@
 #include "crypto/keys.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "wire/fields.h"
 
 namespace enclaves::wire {
 
@@ -23,6 +24,10 @@ struct LegacyAuthInitPayload {
   std::string a;
   std::string l;
   crypto::ProtocolNonce n1;
+  static constexpr std::uint8_t kWireType = 0xB1;
+  static constexpr auto kWireFields = std::tuple{
+      &LegacyAuthInitPayload::a, &LegacyAuthInitPayload::l,
+      &LegacyAuthInitPayload::n1};
   friend bool operator==(const LegacyAuthInitPayload&,
                          const LegacyAuthInitPayload&) = default;
 };
@@ -37,6 +42,12 @@ struct LegacyAuthReplyPayload {
   Bytes iv;  // 16-byte initialization vector, faithful to the paper
   crypto::GroupKey kg;
   std::uint64_t epoch = 0;  // implementation detail: identifies Kg versions
+  static constexpr std::uint8_t kWireType = 0xB2;
+  static constexpr auto kWireFields = std::tuple{
+      &LegacyAuthReplyPayload::l, &LegacyAuthReplyPayload::a,
+      &LegacyAuthReplyPayload::n1, &LegacyAuthReplyPayload::n2,
+      &LegacyAuthReplyPayload::ka, Exactly{&LegacyAuthReplyPayload::iv, 16},
+      &LegacyAuthReplyPayload::kg, &LegacyAuthReplyPayload::epoch};
   friend bool operator==(const LegacyAuthReplyPayload&,
                          const LegacyAuthReplyPayload&) = default;
 };
@@ -44,6 +55,8 @@ struct LegacyAuthReplyPayload {
 /// {N2}_Ka — legacy auth message 3 content.
 struct LegacyAuthAckPayload {
   crypto::ProtocolNonce n2;
+  static constexpr std::uint8_t kWireType = 0xB3;
+  static constexpr auto kWireFields = std::tuple{&LegacyAuthAckPayload::n2};
   friend bool operator==(const LegacyAuthAckPayload&,
                          const LegacyAuthAckPayload&) = default;
 };
@@ -54,6 +67,10 @@ struct LegacyNewKeyPayload {
   crypto::GroupKey kg;
   Bytes iv;
   std::uint64_t epoch = 0;
+  static constexpr std::uint8_t kWireType = 0xB4;
+  static constexpr auto kWireFields = std::tuple{
+      &LegacyNewKeyPayload::kg, Exactly{&LegacyNewKeyPayload::iv, 16},
+      &LegacyNewKeyPayload::epoch};
   friend bool operator==(const LegacyNewKeyPayload&,
                          const LegacyNewKeyPayload&) = default;
 };
@@ -61,6 +78,8 @@ struct LegacyNewKeyPayload {
 /// {Kg'}_Kg' — legacy rekey acknowledgment content.
 struct LegacyNewKeyAckPayload {
   crypto::GroupKey kg;
+  static constexpr std::uint8_t kWireType = 0xB5;
+  static constexpr auto kWireFields = std::tuple{&LegacyNewKeyAckPayload::kg};
   friend bool operator==(const LegacyNewKeyAckPayload&,
                          const LegacyNewKeyAckPayload&) = default;
 };
@@ -69,22 +88,11 @@ struct LegacyNewKeyAckPayload {
 /// under the SHARED group key: any member can forge it (Section 2.3).
 struct LegacyMembershipPayload {
   std::string member;
+  static constexpr std::uint8_t kWireType = 0xB6;
+  static constexpr auto kWireFields = std::tuple{
+      &LegacyMembershipPayload::member};
   friend bool operator==(const LegacyMembershipPayload&,
                          const LegacyMembershipPayload&) = default;
 };
-
-Bytes encode(const LegacyAuthInitPayload& p);
-Bytes encode(const LegacyAuthReplyPayload& p);
-Bytes encode(const LegacyAuthAckPayload& p);
-Bytes encode(const LegacyNewKeyPayload& p);
-Bytes encode(const LegacyNewKeyAckPayload& p);
-Bytes encode(const LegacyMembershipPayload& p);
-
-Result<LegacyAuthInitPayload> decode_legacy_auth_init(BytesView raw);
-Result<LegacyAuthReplyPayload> decode_legacy_auth_reply(BytesView raw);
-Result<LegacyAuthAckPayload> decode_legacy_auth_ack(BytesView raw);
-Result<LegacyNewKeyPayload> decode_legacy_new_key(BytesView raw);
-Result<LegacyNewKeyAckPayload> decode_legacy_new_key_ack(BytesView raw);
-Result<LegacyMembershipPayload> decode_legacy_membership(BytesView raw);
 
 }  // namespace enclaves::wire

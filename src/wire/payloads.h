@@ -9,9 +9,9 @@
 //      ReqClose,     A, L, {A, L}_Ka                     -> ReqClosePayload
 // The embedded identities are what the verifier checks against its own view
 // (the envelope's sender field proves nothing). Decoders reject any trailing
-// bytes, so two distinct payload types can never successfully decode from
-// the same plaintext even under the same key: each payload begins with a
-// distinct type octet as an extra hedge.
+// bytes, and each payload begins with a type octet of its own within this
+// family (0xA1-0xA7), so no payload here decodes as another. Families are
+// kept apart by the AEAD-bound envelope label, not the octet (messages.h).
 #pragma once
 
 #include <string>
@@ -20,6 +20,7 @@
 #include "util/bytes.h"
 #include "util/result.h"
 #include "wire/admin_body.h"
+#include "wire/fields.h"
 
 namespace enclaves::wire {
 
@@ -27,6 +28,9 @@ struct AuthInitPayload {
   std::string a;  // claimed member identity (encrypted copy)
   std::string l;  // leader identity
   crypto::ProtocolNonce n1;
+  static constexpr std::uint8_t kWireType = 0xA1;
+  static constexpr auto kWireFields = std::tuple{
+      &AuthInitPayload::a, &AuthInitPayload::l, &AuthInitPayload::n1};
   friend bool operator==(const AuthInitPayload&,
                          const AuthInitPayload&) = default;
 };
@@ -37,6 +41,10 @@ struct AuthKeyDistPayload {
   crypto::ProtocolNonce n1;  // echo of the member's nonce: freshness proof
   crypto::ProtocolNonce n2;  // leader's challenge
   crypto::SessionKey ka;     // fresh session key
+  static constexpr std::uint8_t kWireType = 0xA2;
+  static constexpr auto kWireFields = std::tuple{
+      &AuthKeyDistPayload::l, &AuthKeyDistPayload::a, &AuthKeyDistPayload::n1,
+      &AuthKeyDistPayload::n2, &AuthKeyDistPayload::ka};
   friend bool operator==(const AuthKeyDistPayload&,
                          const AuthKeyDistPayload&) = default;
 };
@@ -44,6 +52,9 @@ struct AuthKeyDistPayload {
 struct AuthAckPayload {
   crypto::ProtocolNonce n2;  // echo of leader's challenge
   crypto::ProtocolNonce n3;  // seed of the admin-message nonce chain
+  static constexpr std::uint8_t kWireType = 0xA3;
+  static constexpr auto kWireFields = std::tuple{
+      &AuthAckPayload::n2, &AuthAckPayload::n3};
   friend bool operator==(const AuthAckPayload&,
                          const AuthAckPayload&) = default;
 };
@@ -54,6 +65,10 @@ struct AdminPayload {
   crypto::ProtocolNonce n_prev;  // N_{2i+1}: proves freshness to A
   crypto::ProtocolNonce n_next;  // N_{2i+2}: leader's new challenge
   AdminBody body;                // the X field
+  static constexpr std::uint8_t kWireType = 0xA4;
+  static constexpr auto kWireFields = std::tuple{
+      &AdminPayload::l, &AdminPayload::a, &AdminPayload::n_prev,
+      &AdminPayload::n_next, Embedded{&AdminPayload::body}};
   friend bool operator==(const AdminPayload&, const AdminPayload&) = default;
 };
 
@@ -62,29 +77,21 @@ struct AckPayload {
   std::string l;
   crypto::ProtocolNonce n_prev;  // N_{2i+2}: proves freshness to L
   crypto::ProtocolNonce n_next;  // N_{2i+3}: next chain nonce
+  static constexpr std::uint8_t kWireType = 0xA5;
+  static constexpr auto kWireFields = std::tuple{
+      &AckPayload::a, &AckPayload::l, &AckPayload::n_prev, &AckPayload::n_next};
   friend bool operator==(const AckPayload&, const AckPayload&) = default;
 };
 
 struct ReqClosePayload {
   std::string a;
   std::string l;
+  static constexpr std::uint8_t kWireType = 0xA6;
+  static constexpr auto kWireFields = std::tuple{
+      &ReqClosePayload::a, &ReqClosePayload::l};
   friend bool operator==(const ReqClosePayload&,
                          const ReqClosePayload&) = default;
 };
-
-Bytes encode(const AuthInitPayload& p);
-Bytes encode(const AuthKeyDistPayload& p);
-Bytes encode(const AuthAckPayload& p);
-Bytes encode(const AdminPayload& p);
-Bytes encode(const AckPayload& p);
-Bytes encode(const ReqClosePayload& p);
-
-Result<AuthInitPayload> decode_auth_init(BytesView raw);
-Result<AuthKeyDistPayload> decode_auth_key_dist(BytesView raw);
-Result<AuthAckPayload> decode_auth_ack(BytesView raw);
-Result<AdminPayload> decode_admin(BytesView raw);
-Result<AckPayload> decode_ack(BytesView raw);
-Result<ReqClosePayload> decode_req_close(BytesView raw);
 
 /// Group data-plane plaintext, sealed under the group key Kg. `origin` is the
 /// authoring member; `seq` is that member's per-epoch sequence number so
@@ -94,11 +101,12 @@ struct GroupDataPayload {
   std::uint64_t epoch = 0;
   std::uint64_t seq = 0;
   Bytes payload;
+  static constexpr std::uint8_t kWireType = 0xA7;
+  static constexpr auto kWireFields = std::tuple{
+      &GroupDataPayload::origin, &GroupDataPayload::epoch,
+      &GroupDataPayload::seq, &GroupDataPayload::payload};
   friend bool operator==(const GroupDataPayload&,
                          const GroupDataPayload&) = default;
 };
-
-Bytes encode(const GroupDataPayload& p);
-Result<GroupDataPayload> decode_group_data(BytesView raw);
 
 }  // namespace enclaves::wire

@@ -1,45 +1,6 @@
 #include "wire/reconcile.h"
 
-#include <algorithm>
-
-#include "wire/codec.h"
-
 namespace enclaves::wire {
-
-namespace {
-
-// Type octets: hedge against cross-payload confusion under one key. The
-// 0xC0 range keeps them disjoint from the protocol payloads (0xA0 range)
-// and the replication family (0xB0 range).
-enum class P : std::uint8_t {
-  reconcile_offer = 0xC1,
-  reconcile_verdict = 0xC2,
-  op_replay = 0xC3,
-};
-
-Status expect_type(Reader& r, P want) {
-  auto t = r.u8();
-  if (!t) return t.error();
-  if (*t != static_cast<std::uint8_t>(want))
-    return make_error(Errc::malformed, "reconcile payload type mismatch");
-  return Status::success();
-}
-
-Result<crypto::ProtocolNonce> read_nonce(Reader& r) {
-  auto b = r.raw(crypto::kNonceBytes);
-  if (!b) return b.error();
-  return crypto::ProtocolNonce::from_bytes(*b);
-}
-
-Result<crypto::HmacSha256::Tag> read_tag(Reader& r) {
-  auto b = r.raw(crypto::HmacSha256::kTagSize);
-  if (!b) return b.error();
-  crypto::HmacSha256::Tag tag;
-  std::copy(b->begin(), b->end(), tag.begin());
-  return tag;
-}
-
-}  // namespace
 
 const char* reconcile_verdict_kind_name(ReconcileVerdictKind kind) {
   switch (kind) {
@@ -48,131 +9,6 @@ const char* reconcile_verdict_kind_name(ReconcileVerdictKind kind) {
     case ReconcileVerdictKind::intrusion: return "intrusion";
   }
   return "?";
-}
-
-bool is_known_reconcile_verdict_kind(std::uint8_t raw) {
-  switch (static_cast<ReconcileVerdictKind>(raw)) {
-    case ReconcileVerdictKind::admit:
-    case ReconcileVerdictKind::quarantine:
-    case ReconcileVerdictKind::intrusion:
-      return true;
-  }
-  return false;
-}
-
-Bytes encode(const ReconcileOfferPayload& p) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(P::reconcile_offer));
-  w.str(p.a);
-  w.str(p.l);
-  w.raw(p.nr.view());
-  w.u64(p.fence_epoch);
-  w.u64(p.oplog_len);
-  w.raw({p.chain_head.data(), p.chain_head.size()});
-  return std::move(w).take();
-}
-
-Result<ReconcileOfferPayload> decode_reconcile_offer(BytesView raw) {
-  Reader r(raw);
-  if (auto s = expect_type(r, P::reconcile_offer); !s) return s.error();
-  auto a = r.str();
-  if (!a) return a.error();
-  auto l = r.str();
-  if (!l) return l.error();
-  auto nr = read_nonce(r);
-  if (!nr) return nr.error();
-  auto fence_epoch = r.u64();
-  if (!fence_epoch) return fence_epoch.error();
-  auto oplog_len = r.u64();
-  if (!oplog_len) return oplog_len.error();
-  auto head = read_tag(r);
-  if (!head) return head.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-
-  ReconcileOfferPayload p;
-  p.a = *std::move(a);
-  p.l = *std::move(l);
-  p.nr = *nr;
-  p.fence_epoch = *fence_epoch;
-  p.oplog_len = *oplog_len;
-  p.chain_head = *head;
-  return p;
-}
-
-Bytes encode(const ReconcileVerdictPayload& p) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(P::reconcile_verdict));
-  w.str(p.l);
-  w.str(p.a);
-  w.raw(p.nr.view());
-  w.u8(static_cast<std::uint8_t>(p.verdict));
-  w.u64(p.epoch);
-  w.u64(p.ack_seq);
-  return std::move(w).take();
-}
-
-Result<ReconcileVerdictPayload> decode_reconcile_verdict(BytesView raw) {
-  Reader r(raw);
-  if (auto s = expect_type(r, P::reconcile_verdict); !s) return s.error();
-  auto l = r.str();
-  if (!l) return l.error();
-  auto a = r.str();
-  if (!a) return a.error();
-  auto nr = read_nonce(r);
-  if (!nr) return nr.error();
-  auto verdict = r.u8();
-  if (!verdict) return verdict.error();
-  if (!is_known_reconcile_verdict_kind(*verdict))
-    return make_error(Errc::malformed, "unknown reconcile verdict kind");
-  auto epoch = r.u64();
-  if (!epoch) return epoch.error();
-  auto ack_seq = r.u64();
-  if (!ack_seq) return ack_seq.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-
-  ReconcileVerdictPayload p;
-  p.l = *std::move(l);
-  p.a = *std::move(a);
-  p.nr = *nr;
-  p.verdict = static_cast<ReconcileVerdictKind>(*verdict);
-  p.epoch = *epoch;
-  p.ack_seq = *ack_seq;
-  return p;
-}
-
-Bytes encode(const OpReplayPayload& p) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(P::op_replay));
-  w.str(p.a);
-  w.u64(p.seq);
-  w.u64(p.epoch);
-  w.raw({p.mac.data(), p.mac.size()});
-  w.var_bytes(p.payload);
-  return std::move(w).take();
-}
-
-Result<OpReplayPayload> decode_op_replay(BytesView raw) {
-  Reader r(raw);
-  if (auto s = expect_type(r, P::op_replay); !s) return s.error();
-  auto a = r.str();
-  if (!a) return a.error();
-  auto seq = r.u64();
-  if (!seq) return seq.error();
-  auto epoch = r.u64();
-  if (!epoch) return epoch.error();
-  auto mac = read_tag(r);
-  if (!mac) return mac.error();
-  auto payload = r.var_bytes();
-  if (!payload) return payload.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-
-  OpReplayPayload p;
-  p.a = *std::move(a);
-  p.seq = *seq;
-  p.epoch = *epoch;
-  p.mac = *mac;
-  p.payload = *std::move(payload);
-  return p;
 }
 
 }  // namespace enclaves::wire

@@ -17,8 +17,9 @@
 // bind each replayed op to its predecessor so the leader can tell a faithful
 // replay from a forged or reordered one.
 //
-// Like payloads.h, every payload starts with a distinct type octet and
-// decoders reject trailing bytes.
+// Like payloads.h, every payload starts with a type octet unique within the
+// family (0xC1-0xC3, which the fed family reuses: messages.h) and decoders
+// reject trailing bytes.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,7 @@
 #include "crypto/keys.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "wire/fields.h"
 
 namespace enclaves::wire {
 
@@ -40,7 +42,6 @@ enum class ReconcileVerdictKind : std::uint8_t {
 
 /// Stable snake_case name for traces and logs.
 const char* reconcile_verdict_kind_name(ReconcileVerdictKind kind);
-bool is_known_reconcile_verdict_kind(std::uint8_t raw);
 
 /// Member -> leader: "I survived a partition under `fence_epoch` and hold
 /// `oplog_len` queued ops whose chain head is `chain_head`." Rebuilt (with a
@@ -52,6 +53,11 @@ struct ReconcileOfferPayload {
   std::uint64_t fence_epoch = 0;    // epoch held when the partition began
   std::uint64_t oplog_len = 0;      // queued ops awaiting replay
   crypto::HmacSha256::Tag chain_head = {};  // MAC of the last queued op
+  static constexpr std::uint8_t kWireType = 0xC1;
+  static constexpr auto kWireFields = std::tuple{
+      &ReconcileOfferPayload::a, &ReconcileOfferPayload::l,
+      &ReconcileOfferPayload::nr, &ReconcileOfferPayload::fence_epoch,
+      &ReconcileOfferPayload::oplog_len, &ReconcileOfferPayload::chain_head};
   friend bool operator==(const ReconcileOfferPayload&,
                          const ReconcileOfferPayload&) = default;
 };
@@ -65,6 +71,12 @@ struct ReconcileVerdictPayload {
   ReconcileVerdictKind verdict = ReconcileVerdictKind::quarantine;
   std::uint64_t epoch = 0;          // leader's current epoch
   std::uint64_t ack_seq = 0;        // replay floor (0 = send op 1)
+  static constexpr std::uint8_t kWireType = 0xC2;
+  static constexpr auto kWireFields = std::tuple{
+      &ReconcileVerdictPayload::l, &ReconcileVerdictPayload::a,
+      &ReconcileVerdictPayload::nr,
+      Named{&ReconcileVerdictPayload::verdict, reconcile_verdict_kind_name},
+      &ReconcileVerdictPayload::epoch, &ReconcileVerdictPayload::ack_seq};
   friend bool operator==(const ReconcileVerdictPayload&,
                          const ReconcileVerdictPayload&) = default;
 };
@@ -78,16 +90,12 @@ struct OpReplayPayload {
   std::uint64_t epoch = 0;          // epoch the op was queued under
   crypto::HmacSha256::Tag mac = {}; // chain MAC over (prev, seq, epoch, payload)
   Bytes payload;                    // the application bytes
+  static constexpr std::uint8_t kWireType = 0xC3;
+  static constexpr auto kWireFields = std::tuple{
+      &OpReplayPayload::a, &OpReplayPayload::seq, &OpReplayPayload::epoch,
+      &OpReplayPayload::mac, &OpReplayPayload::payload};
   friend bool operator==(const OpReplayPayload&,
                          const OpReplayPayload&) = default;
 };
-
-Bytes encode(const ReconcileOfferPayload& p);
-Bytes encode(const ReconcileVerdictPayload& p);
-Bytes encode(const OpReplayPayload& p);
-
-Result<ReconcileOfferPayload> decode_reconcile_offer(BytesView raw);
-Result<ReconcileVerdictPayload> decode_reconcile_verdict(BytesView raw);
-Result<OpReplayPayload> decode_op_replay(BytesView raw);
 
 }  // namespace enclaves::wire

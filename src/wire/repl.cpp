@@ -1,36 +1,6 @@
 #include "wire/repl.h"
 
-#include "wire/codec.h"
-
 namespace enclaves::wire {
-
-namespace {
-
-// Type octets: hedge against cross-payload confusion under one key. The
-// 0xB0 range keeps them disjoint from the protocol payloads (0xA0 range).
-enum class P : std::uint8_t {
-  repl_delta = 0xB1,
-  repl_snapshot = 0xB2,
-  repl_ack = 0xB3,
-  repl_heartbeat = 0xB4,
-};
-
-Status expect_type(Reader& r, P want) {
-  auto t = r.u8();
-  if (!t) return t.error();
-  if (*t != static_cast<std::uint8_t>(want))
-    return make_error(Errc::malformed, "repl payload type mismatch");
-  return Status::success();
-}
-
-Result<bool> read_bool(Reader& r) {
-  auto b = r.u8();
-  if (!b) return b.error();
-  if (*b > 1) return make_error(Errc::malformed, "bool octet not 0/1");
-  return *b == 1;
-}
-
-}  // namespace
 
 const char* repl_delta_kind_name(ReplDeltaKind kind) {
   switch (kind) {
@@ -45,119 +15,7 @@ const char* repl_delta_kind_name(ReplDeltaKind kind) {
 }
 
 bool is_known_repl_delta_kind(std::uint8_t raw) {
-  switch (static_cast<ReplDeltaKind>(raw)) {
-    case ReplDeltaKind::credential_add:
-    case ReplDeltaKind::credential_update:
-    case ReplDeltaKind::member_joined:
-    case ReplDeltaKind::member_left:
-    case ReplDeltaKind::member_expelled:
-    case ReplDeltaKind::rekey:
-      return true;
-  }
-  return false;
-}
-
-Bytes encode(const ReplDeltaPayload& p) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(P::repl_delta));
-  w.u64(p.epoch);
-  w.u64(p.seq);
-  w.u8(static_cast<std::uint8_t>(p.kind));
-  w.str(p.member_id);
-  w.raw(p.pa.view());
-  return std::move(w).take();
-}
-
-Result<ReplDeltaPayload> decode_repl_delta(BytesView raw) {
-  Reader r(raw);
-  if (auto s = expect_type(r, P::repl_delta); !s) return s.error();
-  auto epoch = r.u64();
-  if (!epoch) return epoch.error();
-  auto seq = r.u64();
-  if (!seq) return seq.error();
-  auto kind = r.u8();
-  if (!kind) return kind.error();
-  if (!is_known_repl_delta_kind(*kind))
-    return make_error(Errc::malformed, "unknown repl delta kind");
-  auto member_id = r.str();
-  if (!member_id) return member_id.error();
-  auto pa = r.raw(crypto::kKeyBytes);
-  if (!pa) return pa.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-
-  ReplDeltaPayload p;
-  p.epoch = *epoch;
-  p.seq = *seq;
-  p.kind = static_cast<ReplDeltaKind>(*kind);
-  p.member_id = *std::move(member_id);
-  p.pa = crypto::LongTermKey::from_bytes(*pa);
-  return p;
-}
-
-Bytes encode(const ReplSnapshotPayload& p) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(P::repl_snapshot));
-  w.u64(p.epoch);
-  w.u64(p.seq);
-  w.var_bytes(p.snapshot);
-  return std::move(w).take();
-}
-
-Result<ReplSnapshotPayload> decode_repl_snapshot(BytesView raw) {
-  Reader r(raw);
-  if (auto s = expect_type(r, P::repl_snapshot); !s) return s.error();
-  auto epoch = r.u64();
-  if (!epoch) return epoch.error();
-  auto seq = r.u64();
-  if (!seq) return seq.error();
-  auto blob = r.var_bytes();
-  if (!blob) return blob.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-  return ReplSnapshotPayload{*epoch, *seq, *std::move(blob)};
-}
-
-Bytes encode(const ReplAckPayload& p) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(P::repl_ack));
-  w.u64(p.seq);
-  w.u64(p.epoch);
-  w.u8(p.gap ? 1 : 0);
-  w.u8(p.fenced ? 1 : 0);
-  return std::move(w).take();
-}
-
-Result<ReplAckPayload> decode_repl_ack(BytesView raw) {
-  Reader r(raw);
-  if (auto s = expect_type(r, P::repl_ack); !s) return s.error();
-  auto seq = r.u64();
-  if (!seq) return seq.error();
-  auto epoch = r.u64();
-  if (!epoch) return epoch.error();
-  auto gap = read_bool(r);
-  if (!gap) return gap.error();
-  auto fenced = read_bool(r);
-  if (!fenced) return fenced.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-  return ReplAckPayload{*seq, *epoch, *gap, *fenced};
-}
-
-Bytes encode(const ReplHeartbeatPayload& p) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(P::repl_heartbeat));
-  w.u64(p.epoch);
-  w.u64(p.seq);
-  return std::move(w).take();
-}
-
-Result<ReplHeartbeatPayload> decode_repl_heartbeat(BytesView raw) {
-  Reader r(raw);
-  if (auto s = expect_type(r, P::repl_heartbeat); !s) return s.error();
-  auto epoch = r.u64();
-  if (!epoch) return epoch.error();
-  auto seq = r.u64();
-  if (!seq) return seq.error();
-  if (auto end = r.expect_end(); !end) return end.error();
-  return ReplHeartbeatPayload{*epoch, *seq};
+  return *repl_delta_kind_name(static_cast<ReplDeltaKind>(raw)) != '?';
 }
 
 }  // namespace enclaves::wire

@@ -10,7 +10,8 @@
 // fresh per active/standby pairing — the seal gives confidentiality for the
 // long-term keys in credential deltas and authenticity for the stream.
 //
-// Like payloads.h, every payload starts with a distinct type octet and
+// Like payloads.h, every payload starts with a type octet unique within the
+// family (0xB1-0xB4, which the legacy family reuses: messages.h) and
 // decoders reject trailing bytes.
 #pragma once
 
@@ -20,6 +21,7 @@
 #include "crypto/keys.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "wire/fields.h"
 
 namespace enclaves::wire {
 
@@ -43,6 +45,11 @@ struct ReplDeltaPayload {
   ReplDeltaKind kind = ReplDeltaKind::rekey;
   std::string member_id;    // empty for rekey
   crypto::LongTermKey pa;   // credential_* kinds only; all-zero otherwise
+  static constexpr std::uint8_t kWireType = 0xB1;
+  static constexpr auto kWireFields = std::tuple{
+      &ReplDeltaPayload::epoch, &ReplDeltaPayload::seq,
+      Named{&ReplDeltaPayload::kind, repl_delta_kind_name},
+      &ReplDeltaPayload::member_id, &ReplDeltaPayload::pa};
   friend bool operator==(const ReplDeltaPayload&,
                          const ReplDeltaPayload&) = default;
 };
@@ -53,6 +60,10 @@ struct ReplSnapshotPayload {
   std::uint64_t epoch = 0;  // epoch inside the snapshot (redundant, checked)
   std::uint64_t seq = 0;    // log head this baseline covers
   Bytes snapshot;           // LeaderSnapshot::serialize(replication key)
+  static constexpr std::uint8_t kWireType = 0xB2;
+  static constexpr auto kWireFields = std::tuple{
+      &ReplSnapshotPayload::epoch, &ReplSnapshotPayload::seq,
+      &ReplSnapshotPayload::snapshot};
   friend bool operator==(const ReplSnapshotPayload&,
                          const ReplSnapshotPayload&) = default;
 };
@@ -65,6 +76,10 @@ struct ReplAckPayload {
   std::uint64_t epoch = 0;  // acker's epoch view
   bool gap = false;         // sender should resync with a fresh snapshot
   bool fenced = false;      // acker is an active leader at a higher epoch
+  static constexpr std::uint8_t kWireType = 0xB3;
+  static constexpr auto kWireFields = std::tuple{
+      &ReplAckPayload::seq, &ReplAckPayload::epoch, &ReplAckPayload::gap,
+      &ReplAckPayload::fenced};
   friend bool operator==(const ReplAckPayload&,
                          const ReplAckPayload&) = default;
 };
@@ -75,18 +90,11 @@ struct ReplAckPayload {
 struct ReplHeartbeatPayload {
   std::uint64_t epoch = 0;
   std::uint64_t seq = 0;  // current log head (0 = nothing emitted yet)
+  static constexpr std::uint8_t kWireType = 0xB4;
+  static constexpr auto kWireFields = std::tuple{
+      &ReplHeartbeatPayload::epoch, &ReplHeartbeatPayload::seq};
   friend bool operator==(const ReplHeartbeatPayload&,
                          const ReplHeartbeatPayload&) = default;
 };
-
-Bytes encode(const ReplDeltaPayload& p);
-Bytes encode(const ReplSnapshotPayload& p);
-Bytes encode(const ReplAckPayload& p);
-Bytes encode(const ReplHeartbeatPayload& p);
-
-Result<ReplDeltaPayload> decode_repl_delta(BytesView raw);
-Result<ReplSnapshotPayload> decode_repl_snapshot(BytesView raw);
-Result<ReplAckPayload> decode_repl_ack(BytesView raw);
-Result<ReplHeartbeatPayload> decode_repl_heartbeat(BytesView raw);
 
 }  // namespace enclaves::wire

@@ -16,21 +16,21 @@ namespace {
 TEST(FileCodec, OfferRoundTrip) {
   FileOffer o{42, "paper.pdf", 123456, 4,
               crypto::Sha256::hash(to_bytes("x"))};
-  auto back = decode_file_message(encode(o));
+  auto back = wire::decode<FileMessage>(wire::encode(o));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(std::get<FileOffer>(*back), o);
 }
 
 TEST(FileCodec, ChunkRoundTrip) {
   FileChunk c{42, 3, to_bytes("chunk data")};
-  auto back = decode_file_message(encode(c));
+  auto back = wire::decode<FileMessage>(wire::encode(c));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(std::get<FileChunk>(*back), c);
 }
 
 TEST(FileCodec, GarbageRejected) {
-  EXPECT_FALSE(decode_file_message(to_bytes("?")).ok());
-  EXPECT_FALSE(decode_file_message({}).ok());
+  EXPECT_FALSE(wire::decode<FileMessage>(to_bytes("?")).ok());
+  EXPECT_FALSE(wire::decode<FileMessage>({}).ok());
 }
 
 struct DropWorld {
@@ -151,11 +151,11 @@ TEST(FileDropApp, CorruptedChunkDiscardsTransfer) {
   // inconsistent data).
   Bytes real = w.rng.bytes(128);
   FileOffer offer{99, "evil.bin", real.size(), 2, crypto::Sha256::hash(real)};
-  ASSERT_TRUE(w.members["alice"]->send_data(encode(offer)).ok());
+  ASSERT_TRUE(w.members["alice"]->send_data(wire::encode(offer)).ok());
   FileChunk c0{99, 0, Bytes(real.begin(), real.begin() + 64)};
   FileChunk c1{99, 1, w.rng.bytes(64)};  // WRONG content
-  ASSERT_TRUE(w.members["alice"]->send_data(encode(c0)).ok());
-  ASSERT_TRUE(w.members["alice"]->send_data(encode(c1)).ok());
+  ASSERT_TRUE(w.members["alice"]->send_data(wire::encode(c0)).ok());
+  ASSERT_TRUE(w.members["alice"]->send_data(wire::encode(c1)).ok());
   w.net.run();
 
   EXPECT_TRUE(got.empty()) << "digest mismatch must suppress delivery";
@@ -168,9 +168,9 @@ TEST(FileDropApp, OutOfRangeChunkIndexDiscards) {
   auto& bob = w.add("bob");
   w.add("alice");
   FileOffer offer{7, "x", 10, 1, crypto::Sha256::hash(Bytes(10, 1))};
-  ASSERT_TRUE(w.members["alice"]->send_data(encode(offer)).ok());
+  ASSERT_TRUE(w.members["alice"]->send_data(wire::encode(offer)).ok());
   FileChunk bad{7, 5, Bytes(10, 1)};  // index 5 of 1
-  ASSERT_TRUE(w.members["alice"]->send_data(encode(bad)).ok());
+  ASSERT_TRUE(w.members["alice"]->send_data(wire::encode(bad)).ok());
   w.net.run();
   EXPECT_GE(bob.discarded_transfers(), 1u);
   EXPECT_EQ(bob.inflight(), 0u);
@@ -182,11 +182,11 @@ TEST(FileDropApp, OverflowingAnnouncedSizeDiscards) {
   w.add("alice");
   // Offer claims 10 bytes but ships 64+64: buffered > total_size.
   FileOffer offer{8, "liar", 10, 2, crypto::Sha256::hash(Bytes(10, 0))};
-  ASSERT_TRUE(w.members["alice"]->send_data(encode(offer)).ok());
+  ASSERT_TRUE(w.members["alice"]->send_data(wire::encode(offer)).ok());
   ASSERT_TRUE(w.members["alice"]->send_data(
-      encode(FileChunk{8, 0, Bytes(64, 0)})).ok());
+      wire::encode(FileChunk{8, 0, Bytes(64, 0)})).ok());
   ASSERT_TRUE(w.members["alice"]->send_data(
-      encode(FileChunk{8, 1, Bytes(64, 0)})).ok());
+      wire::encode(FileChunk{8, 1, Bytes(64, 0)})).ok());
   w.net.run();
   EXPECT_GE(bob.discarded_transfers(), 1u);
   EXPECT_EQ(bob.inflight(), 0u);
@@ -197,7 +197,7 @@ TEST(FileDropApp, ChunkWithoutOfferIgnored) {
   auto& bob = w.add("bob");
   w.add("alice");
   ASSERT_TRUE(w.members["alice"]->send_data(
-      encode(FileChunk{1234, 0, Bytes(16, 2)})).ok());
+      wire::encode(FileChunk{1234, 0, Bytes(16, 2)})).ok());
   w.net.run();
   EXPECT_EQ(bob.inflight(), 0u);
 }
