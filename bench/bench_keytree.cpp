@@ -154,6 +154,9 @@ struct World {
     (void)leader->register_member(id, pa);
     auto m = std::make_unique<core::Member>(id, "L", pa, rng);
     m->set_send(sender());
+    // Every real application installs a handler, and without one the
+    // member skips building events altogether: time the path they take.
+    m->set_event_handler([](const core::GroupEvent&) {});
     auto* raw = m.get();
     net.attach(id, [raw](const wire::Envelope& e) { raw->handle(e); });
     members[id] = std::move(m);

@@ -68,10 +68,11 @@ int main() {
     m->set_send([&net](const std::string& to, wire::Envelope e) {
       net.send(to, std::move(e));
     });
-    m->set_event_handler([id](const core::GroupEvent& ev) {
-      if (const auto* v = std::get_if<core::ViewChanged>(&ev)) {
+    auto* raw = m.get();
+    m->set_event_handler([id, raw](const core::GroupEvent& ev) {
+      if (std::holds_alternative<core::ViewChanged>(ev)) {
         std::printf("[%s] my view of the group: %s\n", id.c_str(),
-                    join_ids(v->members()).c_str());
+                    join_ids(raw->view()).c_str());
       } else if (const auto* d = std::get_if<core::DataReceived>(&ev)) {
         std::printf("[%s] <%s> %s\n", id.c_str(), d->origin.c_str(),
                     to_string(d->payload).c_str());
@@ -80,7 +81,6 @@ int main() {
                     static_cast<unsigned long long>(ep->epoch));
       }
     });
-    auto* raw = m.get();
     net.attach(id, [raw](const wire::Envelope& e) { raw->handle(e); });
     members[id] = std::move(m);
   };

@@ -402,7 +402,7 @@ AttackReport session_hijack_improved(std::uint64_t seed) {
   // Alice rejoins with a fresh session.
   (void)alice.join();
   w.net.run();
-  const auto rcv_before = alice.rcv_log().size();
+  const auto rcv_before = alice.rcv_count();
 
   // The attacker knows the OLD Ka: forge an AdminMsg to alice, a ReqClose
   // to the leader, and an Ack to the leader, all under the leaked key.
@@ -435,9 +435,8 @@ AttackReport session_hijack_improved(std::uint64_t seed) {
 
   // Property check: everything alice accepted this session is exactly what
   // the leader sent this session, in order (rcv prefix of snd).
-  const auto& snd = w.leader.session("alice")->snd_log();
-  const auto& rcv = alice.rcv_log();
-  bool prefix_ok = rcv.size() <= snd.size() + rcv_before;
+  const auto snd_count = w.leader.session("alice")->snd_count();
+  bool prefix_ok = alice.rcv_count() <= snd_count + rcv_before;
   bool still_member = w.leader.is_member("alice") && alice.connected();
   bool success = !prefix_ok || !still_member;
   return {"session-hijack", kImproved, success,

@@ -1,5 +1,7 @@
 #include "app/group_chat.h"
 
+#include <algorithm>
+
 namespace enclaves::app {
 
 const char* chat_kind_name(ChatKind kind) {
@@ -58,15 +60,18 @@ void GroupChat::on_event(const core::GroupEvent& ev) {
       }
     }
   } else if (const auto* v = std::get_if<core::ViewChanged>(&ev)) {
-    // Drop presence entries for members no longer in the group.
-    const auto& members = v->members();
-    std::set<std::string> current(members.begin(), members.end());
-    for (auto it = presence_.begin(); it != presence_.end();) {
-      if (!current.count(it->first) && it->first != member_.id()) {
-        it = presence_.erase(it);
-      } else {
-        ++it;
-      }
+    // Drop presence entries for members no longer in the group (our own
+    // entry always stays). A single departure erases one entry; only a
+    // whole-view replacement prunes against the materialised roster.
+    if (v->kind == core::ViewChanged::Kind::left) {
+      if (v->member != member_.id()) presence_.erase(v->member);
+    } else if (v->kind == core::ViewChanged::Kind::replaced) {
+      const auto roster = member_.view();  // sorted
+      std::erase_if(presence_, [&](const auto& entry) {
+        return entry.first != member_.id() &&
+               !std::binary_search(roster.begin(), roster.end(),
+                                   entry.first);
+      });
     }
   } else if (std::holds_alternative<core::SessionClosed>(ev)) {
     presence_.clear();

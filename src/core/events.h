@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -26,20 +25,20 @@ struct AdminAccepted {
   wire::AdminBody body;
 };
 
-/// The membership view changed (join/leave/list snapshot applied). The
-/// snapshot is materialized once per membership change — and not at all
-/// when no event handler is installed (EXPERIMENTS.md E18: rebuilding it
-/// per fan-out recipient made 1024-member tree joins O(N^3)) — and shared
-/// immutably with the application, so handlers can retain it without
-/// copying.
+/// The membership view changed by one admin body. The event carries the
+/// change, not the view: each member applies every join/leave notice the
+/// leader fans out, so a per-event roster copy would cost O(N) per member
+/// per change (O(N^2) across the group). Applications that need the whole
+/// roster call Member::view() when they need it.
 struct ViewChanged {
-  std::shared_ptr<const std::vector<std::string>> snapshot;
-
-  /// The sorted member list (empty for a default-constructed event).
-  const std::vector<std::string>& members() const {
-    static const std::vector<std::string> kEmpty;
-    return snapshot ? *snapshot : kEmpty;
-  }
+  enum class Kind : std::uint8_t {
+    joined,    // `member` entered the view (MemberJoined)
+    left,      // `member` left the view (MemberLeft)
+    replaced,  // the whole view was replaced (MemberList); `member` empty
+  };
+  Kind kind = Kind::replaced;
+  std::string member;
+  std::size_t size = 0;  // members in the view after the change
 };
 
 /// A new group key took effect.

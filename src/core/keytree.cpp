@@ -1,6 +1,7 @@
 #include "core/keytree.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "crypto/ct.h"
 #include "crypto/hkdf.h"
@@ -24,10 +25,17 @@ Bytes be64(std::uint64_t v) {
   return b;
 }
 
-bool is_ancestor(std::uint32_t node, std::uint32_t leaf) {
-  for (std::uint32_t n = leaf >> 1; n >= 1; n >>= 1)
-    if (n == node) return true;
-  return false;
+/// Heap level of node n >= 1 (the root is level 0).
+int level_of(std::uint32_t n) { return std::bit_width(n) - 1; }
+
+/// The path slot (= heap level) of `node` when it is a strict ancestor of
+/// `leaf`, else -1.
+int path_slot(std::uint32_t node, std::uint32_t leaf) {
+  if (node == 0 || leaf == 0) return -1;
+  const int ln = level_of(node);
+  const int ll = level_of(leaf);
+  if (ln >= ll || (leaf >> (ll - ln)) != node) return -1;
+  return ln;
 }
 
 }  // namespace
@@ -261,7 +269,7 @@ const crypto::GroupKey* KeyTree::kek_at(std::uint32_t node) const {
 
 void KeyTreeView::assign(std::uint32_t leaf, const crypto::SessionKey& ka,
                          std::string_view member_id) {
-  if (leaf != leaf_) path_.clear();  // re-index (tree growth): stale path
+  if (leaf != leaf_) have_ = 0;  // re-index (tree growth): stale path
   leaf_ = leaf;
   leaf_kek_ = derive_leaf_kek(ka, member_id);
 }
@@ -269,7 +277,7 @@ void KeyTreeView::assign(std::uint32_t leaf, const crypto::SessionKey& ka,
 void KeyTreeView::reset() {
   leaf_ = 0;
   leaf_kek_ = crypto::GroupKey();
-  path_.clear();
+  have_ = 0;
 }
 
 KeyTreeView::ApplyResult KeyTreeView::apply_update(
@@ -281,7 +289,18 @@ KeyTreeView::ApplyResult KeyTreeView::apply_update(
   // Decrypt reachable entries to a fixpoint. Carrier preference is
   // learned-first: an on-path child's entry is always sealed under that
   // child's NEW KEK, an off-path child's under its current one.
-  std::map<std::uint32_t, crypto::GroupKey> learned;
+  // Keys decrypted so far, flat and sorted by node (an honest update yields
+  // at most one per level of this view's path).
+  std::vector<std::pair<std::uint32_t, crypto::GroupKey>> learned;
+  auto learned_at = [&learned](std::uint32_t node) {
+    return std::lower_bound(
+        learned.begin(), learned.end(), node,
+        [](const auto& entry, std::uint32_t n) { return entry.first < n; });
+  };
+  auto find_learned = [&](std::uint32_t node) -> const crypto::GroupKey* {
+    auto it = learned_at(node);
+    return it != learned.end() && it->first == node ? &it->second : nullptr;
+  };
   std::vector<bool> used(p.entries.size(), false);
   bool progress = true;
   while (progress) {
@@ -289,13 +308,9 @@ KeyTreeView::ApplyResult KeyTreeView::apply_update(
     for (std::size_t i = 0; i < p.entries.size(); ++i) {
       if (used[i]) continue;
       const auto& e = p.entries[i];
-      const crypto::GroupKey* carrier = nullptr;
-      if (auto it = learned.find(e.carrier); it != learned.end())
-        carrier = &it->second;
-      else if (e.carrier == leaf_)
-        carrier = &leaf_kek_;
-      else if (auto it = path_.find(e.carrier); it != path_.end())
-        carrier = &it->second;
+      const crypto::GroupKey* carrier = find_learned(e.carrier);
+      if (!carrier)
+        carrier = e.carrier == leaf_ ? &leaf_kek_ : path_kek(e.carrier);
       if (!carrier) continue;
       auto plain = wire::open_body(aead, carrier->view(),
                                    wire::Label::KeyTreeUpdate, p.l,
@@ -304,22 +319,30 @@ KeyTreeView::ApplyResult KeyTreeView::apply_update(
       auto kek = wire::decode<wire::KeyTreeNodeKek>(*plain);
       if (!kek || kek->node != e.node || kek->epoch != p.epoch)
         return {Outcome::forged, {}, 0};  // spliced from another update
-      learned[e.node] = kek->kek;
+      if (auto it = learned_at(e.node);
+          it != learned.end() && it->first == e.node)
+        it->second = kek->kek;
+      else
+        learned.insert(it, {e.node, kek->kek});
       used[i] = true;
       progress = true;
     }
   }
 
-  auto root = learned.find(1);
-  if (root == learned.end()) return {Outcome::unreachable, {}, 0};
-  crypto::GroupKey kg = derive_group_key(root->second, p.epoch);
+  const crypto::GroupKey* root = find_learned(1);
+  if (!root) return {Outcome::unreachable, {}, 0};
+  crypto::GroupKey kg = derive_group_key(*root, p.epoch);
   auto expect = keytree_confirm_tag(kg, p.epoch);
   if (!crypto::ct_equal(BytesView{expect.data(), expect.size()},
                         BytesView{p.confirm.data(), p.confirm.size()}))
     return {Outcome::forged, {}, 0};
 
-  for (const auto& [node, kek] : learned)
-    if (is_ancestor(node, leaf_)) path_[node] = kek;
+  for (const auto& [node, kek] : learned) {
+    if (const int l = path_slot(node, leaf_); l >= 0) {
+      path_[l] = kek;
+      have_ |= 1u << l;
+    }
+  }
   return {Outcome::applied, kg, p.epoch};
 }
 
@@ -355,14 +378,18 @@ KeyTreeView::ApplyResult KeyTreeView::apply_path(
     return {Outcome::forged, {}, 0};
 
   leaf_ = p.leaf;
-  path_.clear();
-  for (const auto& nk : p.path) path_[nk.node] = nk.kek;
+  have_ = 0;
+  for (const auto& nk : p.path) {
+    const int l = level_of(nk.node);
+    path_[l] = nk.kek;
+    have_ |= 1u << l;
+  }
   return {Outcome::applied, kg, p.epoch};
 }
 
 const crypto::GroupKey* KeyTreeView::path_kek(std::uint32_t node) const {
-  auto it = path_.find(node);
-  return it == path_.end() ? nullptr : &it->second;
+  const int l = path_slot(node, leaf_);
+  return l >= 0 && (have_ >> l) & 1u ? &path_[l] : nullptr;
 }
 
 }  // namespace enclaves::core

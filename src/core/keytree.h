@@ -28,6 +28,7 @@
 // KeyTreeView is the member's side (path only, applies rotations).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -195,9 +196,16 @@ class KeyTreeView {
   const crypto::GroupKey* path_kek(std::uint32_t node) const;
 
  private:
+  /// One slot per level a 32-bit heap index can have above it, so every
+  /// leaf index the leader can assign has room for its whole path.
+  static constexpr std::size_t kPathSlots = 32;
+
   std::uint32_t leaf_ = 0;
   crypto::GroupKey leaf_kek_;
-  std::map<std::uint32_t, crypto::GroupKey> path_;  // ancestor -> KEK
+  /// Ancestor KEKs indexed by heap level (root = 0); bit l of have_ says
+  /// whether path_[l] holds the KEK of leaf_'s level-l ancestor.
+  std::array<crypto::GroupKey, kPathSlots> path_;
+  std::uint32_t have_ = 0;
 };
 
 }  // namespace enclaves::core

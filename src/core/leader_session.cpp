@@ -194,7 +194,7 @@ wire::Envelope LeaderSession::build_admin_msg(wire::AdminBody body) {
   wire::AdminPayload payload{leader_id_, member_id_, na_, nl_, body};
   auto env = wire::make_sealed(aead_, ka_.view(), rng_, wire::Label::AdminMsg,
                                leader_id_, member_id_, wire::encode(payload));
-  snd_log_.push_back(std::move(body));
+  snd_log_.push(std::move(body));
   outstanding_ = env;
   state_ = State::waiting_for_ack;
   return env;

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/admin_history.h"
 #include "crypto/aead.h"
 #include "crypto/keys.h"
 #include "util/result.h"
@@ -108,9 +109,15 @@ class LeaderSession {
   /// Session key; meaningful while in_session().
   const crypto::SessionKey& session_key() const { return ka_; }
 
-  /// The paper's snd_A list (Section 5.4): every admin body sent, in order.
-  /// Cleared when the session closes, as in the paper.
-  const std::vector<wire::AdminBody>& snd_log() const { return snd_log_; }
+  /// The last kAdminHistoryWindow admin bodies sent, in order: the
+  /// retained tail of the paper's snd_A list (Section 5.4). Cleared when
+  /// the session closes, as in the paper.
+  const std::deque<wire::AdminBody>& snd_log() const {
+    return snd_log_.bodies();
+  }
+
+  /// Admin bodies sent this session (the exact length of snd_A).
+  std::uint64_t snd_count() const { return snd_log_.count(); }
 
   /// Number of admin messages acknowledged by the member this session.
   std::uint64_t acked_count() const { return acked_count_; }
@@ -161,7 +168,7 @@ class LeaderSession {
   // N1 under Pa; a captured old handshake opener dies here as stale.
   std::set<crypto::ProtocolNonce> seen_init_n1_;
 
-  std::vector<wire::AdminBody> snd_log_;
+  AdminHistory snd_log_;
   std::uint64_t acked_count_ = 0;
   RejectStats rejects_;
 };

@@ -1,5 +1,7 @@
 #include "core/member.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/security.h"
@@ -32,10 +34,10 @@ void Member::emit(GroupEvent event) {
   if (on_event_) on_event_(event);
 }
 
-void Member::emit_view_changed() {
+void Member::emit_view_changed(ViewChanged::Kind kind,
+                               const std::string& member) {
   if (!on_event_) return;
-  emit(ViewChanged{std::make_shared<const std::vector<std::string>>(
-      view_.begin(), view_.end())});
+  emit(ViewChanged{kind, member, view_.size()});
 }
 
 Status Member::join() {
@@ -291,13 +293,13 @@ bool Member::apply_admin(const wire::AdminBody& body) {
           emit(EpochChanged{epoch_});
         } else if constexpr (std::is_same_v<T, wire::MemberJoined>) {
           view_.insert(b.member);
-          emit_view_changed();
+          emit_view_changed(ViewChanged::Kind::joined, b.member);
         } else if constexpr (std::is_same_v<T, wire::MemberLeft>) {
           view_.erase(b.member);
-          emit_view_changed();
+          emit_view_changed(ViewChanged::Kind::left, b.member);
         } else if constexpr (std::is_same_v<T, wire::MemberList>) {
-          view_ = std::set<std::string>(b.members.begin(), b.members.end());
-          emit_view_changed();
+          view_ = {b.members.begin(), b.members.end()};
+          emit_view_changed(ViewChanged::Kind::replaced, {});
         } else if constexpr (std::is_same_v<T, wire::Notice>) {
           // surfaced via the AdminAccepted event only
         } else if constexpr (std::is_same_v<T, wire::KeyTreeAssign>) {
@@ -805,7 +807,9 @@ std::size_t Member::tick() {
 }
 
 std::vector<std::string> Member::view() const {
-  return std::vector<std::string>(view_.begin(), view_.end());
+  std::vector<std::string> sorted(view_.begin(), view_.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
 }
 
 }  // namespace enclaves::core

@@ -19,9 +19,9 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "core/events.h"
@@ -152,13 +152,19 @@ class Member {
            refusals_.count(Refusal::keytree_fence);
   }
 
-  /// This member's view of the group (including itself once listed).
+  /// This member's view of the group (including itself once listed),
+  /// sorted. Materialised on demand in O(N); ViewChanged events carry only
+  /// the delta.
   std::vector<std::string> view() const;
 
-  /// Admin bodies accepted in order (the paper's rcv_A list).
-  const std::vector<wire::AdminBody>& rcv_log() const {
+  /// The retained tail of the admin bodies accepted this session (the
+  /// paper's rcv_A list; see MemberSession::rcv_log).
+  const std::deque<wire::AdminBody>& rcv_log() const {
     return session_.rcv_log();
   }
+
+  /// Admin bodies accepted this session, retained or not.
+  std::uint64_t rcv_count() const { return session_.rcv_count(); }
 
   const MemberSession& session() const { return session_; }
 
@@ -179,11 +185,9 @@ class Member {
   /// Records one refusal on every observation channel (core/refusal.h).
   void refuse(Refusal plane, obs::EvidenceKind kind, std::string_view accused,
               std::string_view detail, std::uint64_t value = 0);
-  /// Emits ViewChanged with a freshly materialized shared snapshot of
-  /// view_ — or nothing at all when no handler is installed, so the
-  /// admin fan-out never pays O(N) per notice just to drop the result
-  /// (EXPERIMENTS.md E18).
-  void emit_view_changed();
+  /// Emits the one-body ViewChanged delta (O(1): no roster copy), or
+  /// nothing when no handler is installed.
+  void emit_view_changed(ViewChanged::Kind kind, const std::string& member);
   /// Returns false when the body was fenced (rejected, session dropped).
   bool apply_admin(const wire::AdminBody& body);
   void handle_group_data(const wire::Envelope& e);
@@ -222,7 +226,10 @@ class Member {
   crypto::GroupKey kg_;
   std::uint64_t epoch_ = 0;
   bool have_kg_ = false;
-  std::set<std::string> view_;
+  // Hashed, not ordered: every member applies every join/leave notice, so
+  // this insert/erase runs N times per membership change, and an ordered
+  // tree walks O(log N) cache-cold nodes each time. view() sorts on demand.
+  std::unordered_set<std::string> view_;
   std::uint64_t next_seq_ = 0;                  // our outbound counter
   std::map<std::string, std::uint64_t> last_seq_;  // per-origin inbound floor
   RefusalTally refusals_;

@@ -157,7 +157,7 @@ Result<MemberSession::HandleOutcome> MemberSession::on_admin_msg(
   auto reply = wire::make_sealed(aead_, ka_.view(), rng_, wire::Label::Ack,
                                  id_, leader_id_, wire::encode(ack));
   na_ = n_next;
-  rcv_log_.push_back(payload->body);
+  rcv_log_.push(payload->body);
   last_admin_seen_ = e;
   last_ack_sent_ = reply;
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/admin_history.h"
 #include "crypto/aead.h"
 #include "crypto/keys.h"
 #include "util/result.h"
@@ -93,10 +94,16 @@ class MemberSession {
   /// otherwise. Retransmission is byte-identical, so it reveals nothing new.
   std::optional<wire::Envelope> pending_retransmit() const;
 
-  /// Every admin body accepted, in acceptance order. The paper's rcv_A list
-  /// (Section 5.4): the verification property is that this is always a
-  /// prefix of the leader's snd_A list.
-  const std::vector<wire::AdminBody>& rcv_log() const { return rcv_log_; }
+  /// The last kAdminHistoryWindow admin bodies accepted, in acceptance
+  /// order: the retained tail of the paper's rcv_A list (Section 5.4),
+  /// whose verification property is that it is always a prefix of the
+  /// leader's snd_A list. Emptied when the session ends.
+  const std::deque<wire::AdminBody>& rcv_log() const {
+    return rcv_log_.bodies();
+  }
+
+  /// Admin bodies accepted this session (the exact length of rcv_A).
+  std::uint64_t rcv_count() const { return rcv_log_.count(); }
 
   const RejectStats& reject_stats() const { return rejects_; }
 
@@ -128,7 +135,7 @@ class MemberSession {
   std::optional<wire::Envelope> last_authack_sent_;
   std::optional<wire::Envelope> join_request_;  // for retransmission
 
-  std::vector<wire::AdminBody> rcv_log_;
+  AdminHistory rcv_log_;
   RejectStats rejects_;
 };
 

@@ -107,16 +107,21 @@ void Sha256::update(BytesView data) {
 }
 
 Sha256::Digest Sha256::finish() {
+  // Padding goes straight into the block buffer: 0x80, zeros up to byte 56
+  // of the last block (spilling into one more block when fewer than 9
+  // bytes are free), then the 64-bit big-endian bit length.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update({&pad_one, 1});
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update({&zero, 1});
-
-  std::uint8_t len_be[8];
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_.data() + buf_len_, 0, kBlockSize - buf_len_);
+    compress(buf_.data());
+    buf_len_ = 0;
+  }
+  std::memset(buf_.data() + buf_len_, 0, 56 - buf_len_);
   for (int i = 0; i < 8; ++i)
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update({len_be, 8});
+    buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  compress(buf_.data());
+  buf_len_ = 0;
 
   Digest out;
   for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, h_[i]);

@@ -151,13 +151,14 @@ void LegacyMember::handle(const wire::Envelope& e) {
       if (!plain) return;
       auto payload = wire::decode<wire::LegacyMembershipPayload>(*plain);
       if (!payload) return;
-      if (e.label == wire::Label::LegacyMemAdded)
+      const bool added = e.label == wire::Label::LegacyMemAdded;
+      if (added)
         view_.insert(payload->member);
       else
         view_.erase(payload->member);
-      if (on_event_)
-        emit(core::ViewChanged{std::make_shared<const std::vector<std::string>>(
-            view_.begin(), view_.end())});
+      emit(core::ViewChanged{added ? core::ViewChanged::Kind::joined
+                                   : core::ViewChanged::Kind::left,
+                             payload->member, view_.size()});
       return;
     }
 

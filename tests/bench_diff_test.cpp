@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "tools/bench_diff_lib.h"
 
@@ -241,6 +243,78 @@ TEST(BenchDiff, NewProfileScopeIsANote) {
   EXPECT_FALSE(report.failed());
   ASSERT_EQ(report.notes.size(), 1u);
   EXPECT_NE(report.notes[0].find("new profile scope: member/handle"),
+            std::string::npos);
+}
+
+// A blob holding only result rows, each {name, real_time, time_unit}.
+BenchBlob rows_blob(
+    const std::vector<std::tuple<std::string, double, std::string>>& rows) {
+  std::string json =
+      "{\"bench\":\"keytree\",\"metrics_attached\":true,\"results\":[";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& [name, time, unit] = rows[i];
+    json += (i ? "," : "") + std::string("{\"name\":\"") + name +
+            "\",\"iterations\":10,\"real_time\":" + std::to_string(time) +
+            ",\"cpu_time\":" + std::to_string(time) +
+            ",\"time_unit\":\"" + unit + "\"}";
+  }
+  json += "],\"metrics\":{\"counters\":[],\"gauges\":[],"
+          "\"histograms\":[]}}";
+  auto blob = BenchBlob::parse(json);
+  EXPECT_TRUE(blob.ok());
+  return blob.ok() ? *blob : BenchBlob{};
+}
+
+TEST(BenchDiffRatio, ParsesRulesAndRejectsMalformedOnes) {
+  auto rule = RatioRule::parse("BM_Join/1024/BM_Join/256<=6");
+  ASSERT_TRUE(rule.ok());
+  EXPECT_EQ(rule->expr, "BM_Join/1024/BM_Join/256");
+  EXPECT_DOUBLE_EQ(rule->max, 6.0);
+  EXPECT_TRUE(RatioRule::parse("BM_A/BM_B<=0.5").ok());
+  for (const char* bad : {"BM_A/BM_B", "BM_A/BM_B<=", "BM_A/BM_B<=x",
+                          "BM_A/BM_B<=-1", "BM_A<=2", "/BM_B<=2",
+                          "BM_A/<=2", "BM_A/BM_B<=2x"})
+    EXPECT_FALSE(RatioRule::parse(bad).ok()) << bad;
+}
+
+TEST(BenchDiffRatio, PassingRuleIsANote) {
+  // The split is found between the two benchmark names, across units;
+  // repetitions are reduced to their median (the 900 us outlier is not it).
+  const BenchBlob blob = rows_blob({{"BM_Join/256", 1000, "us"},
+                                    {"BM_Join/1024", 4000, "us"},
+                                    {"BM_Join/1024", 4.5, "ms"},
+                                    {"BM_Join/1024", 900000, "us"}});
+  DiffReport report;
+  check_ratios(blob, {*RatioRule::parse("BM_Join/1024/BM_Join/256<=6")},
+               report);
+  EXPECT_FALSE(report.failed()) << report.to_string();
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_NE(report.notes[0].find("= 4.50"), std::string::npos)
+      << report.notes[0];
+}
+
+TEST(BenchDiffRatio, BrokenRuleFailsEvenInsideDiff) {
+  // A "_median" aggregate row wins over the raw repetitions.
+  const BenchBlob blob = rows_blob({{"BM_Join/256", 1000, "us"},
+                                    {"BM_Join/1024", 1000, "us"},
+                                    {"BM_Join/1024_median", 16000, "us"}});
+  DiffOptions opts;
+  opts.ratios = {*RatioRule::parse("BM_Join/1024/BM_Join/256<=6")};
+  const DiffReport report = diff_blobs(blob, blob, opts);
+  ASSERT_TRUE(report.failed());
+  ASSERT_EQ(report.failures.size(), 1u);
+  EXPECT_NE(report.failures[0].find("= 16.00 (limit 6.00)"),
+            std::string::npos)
+      << report.failures[0];
+}
+
+TEST(BenchDiffRatio, MissingRowFails) {
+  const BenchBlob blob = rows_blob({{"BM_Join/256", 1000, "us"}});
+  DiffReport report;
+  check_ratios(blob, {*RatioRule::parse("BM_Join/1024/BM_Join/256<=6")},
+               report);
+  ASSERT_EQ(report.failures.size(), 1u);
+  EXPECT_NE(report.failures[0].find("no split names two benchmarks"),
             std::string::npos);
 }
 

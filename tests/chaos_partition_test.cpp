@@ -59,15 +59,30 @@ struct PartitionChaosWorld {
       m->enable_auto_rejoin(RetryPolicy::exponential(2, 16, 3));
       m->enable_reconciliation(RetryPolicy::exponential(1, 8, /*jitter=*/2));
       auto* seqs = &delivered[id];
-      m->set_event_handler([seqs](const GroupEvent& ev) {
+      auto* fold = &folded[id];
+      auto* raw = m.get();
+      m->set_event_handler([this, seqs, fold, raw](const GroupEvent& ev) {
         if (const auto* d = std::get_if<DataReceived>(&ev)) {
           const std::string s = enclaves::to_string(d->payload);
           auto at = s.find('#');
           if (at != std::string::npos)
             (*seqs)[d->origin].push_back(std::stoull(s.substr(at + 1)));
+        } else if (const auto* v = std::get_if<ViewChanged>(&ev)) {
+          // Fold the delta; a whole-view replacement re-anchors the fold
+          // on the materialised view, as an application would.
+          switch (v->kind) {
+            case ViewChanged::Kind::joined: fold->insert(v->member); break;
+            case ViewChanged::Kind::left: fold->erase(v->member); break;
+            case ViewChanged::Kind::replaced: {
+              const auto now = raw->view();
+              fold->clear();
+              fold->insert(now.begin(), now.end());
+              break;
+            }
+          }
+          if (fold->size() != v->size) ++fold_size_mismatches;
         }
       });
-      auto* raw = m.get();
       net.attach(id, [raw](const wire::Envelope& e) { raw->handle(e); });
       members[id] = std::move(m);
     }
@@ -151,6 +166,9 @@ struct PartitionChaosWorld {
   std::map<std::string, std::map<std::string, std::vector<std::uint64_t>>>
       delivered;
   std::map<std::string, std::uint64_t> next_num;
+  // folded[member] = the member's ViewChanged deltas folded into a view.
+  std::map<std::string, std::set<std::string>> folded;
+  std::uint64_t fold_size_mismatches = 0;
   std::uint64_t step_count = 0;
 };
 
@@ -357,6 +375,62 @@ TEST_P(ChaosPartitionHeal, SplitBrainBothHalvesQueueAndMerge) {
 
   EXPECT_EQ(w.injector.stats().partitions_cut, 1u);
   EXPECT_EQ(w.injector.stats().partitions_healed, 1u);
+}
+
+// ViewChanged carries only the change. Folding each member's deltas must
+// reproduce Member::view() at every quiescent point, through joins, a
+// voluntary leave, an expulsion with auto-rejoin, a rejoin and a partition
+// heal. Members out of session hold no view and are skipped; a member in
+// disconnected mode keeps its view, and so does its fold.
+TEST(PartitionViewFold, DeltasFoldToTheMaterialisedView) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    PartitionChaosWorld w(seed, net::FaultPlan{});
+    auto quiet = [&] {
+      return w.net.queue_size() == 0 && w.net.held_size() == 0;
+    };
+    auto run_until = [&](auto done) {
+      for (int t = 0; t < 600 && !(done() && quiet()); ++t) w.step();
+      return done() && quiet();
+    };
+    auto expect_fold_matches = [&](const char* phase) {
+      EXPECT_EQ(w.fold_size_mismatches, 0u) << phase;
+      for (const auto& [id, m] : w.members) {
+        if (!m->connected() && !m->disconnected()) continue;
+        const auto& fold = w.folded.at(id);
+        EXPECT_EQ(std::vector<std::string>(fold.begin(), fold.end()),
+                  m->view())
+            << id << " after " << phase;
+      }
+    };
+
+    for (auto& [id, m] : w.members) ASSERT_TRUE(m->join().ok());
+    ASSERT_TRUE(w.settle());
+    expect_fold_matches("joins");
+
+    ASSERT_TRUE(w.members.at("m3")->leave().ok());
+    ASSERT_TRUE(run_until([&] { return !w.leader->is_member("m3"); }));
+    expect_fold_matches("leave");
+
+    auto& expelled = *w.members.at("m1");
+    const std::uint64_t rejoins_before = expelled.rejoins();
+    ASSERT_TRUE(w.leader->expel("m1", "view fold").ok());
+    ASSERT_TRUE(run_until([&] {
+      return expelled.rejoins() > rejoins_before && expelled.connected() &&
+             w.leader->is_member("m1");
+    }));
+    expect_fold_matches("expel + auto-rejoin");
+
+    ASSERT_TRUE(w.members.at("m3")->join().ok());
+    ASSERT_TRUE(w.settle());
+    expect_fold_matches("rejoin");
+
+    run_until_cut(w, {"m2"});
+    expect_fold_matches("partition");
+    w.injector.heal();
+    ASSERT_TRUE(w.settle());
+    expect_fold_matches("heal");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosPartitionHeal,

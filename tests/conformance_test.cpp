@@ -17,6 +17,7 @@
 // This closes the loop between the verified model and the shipped code.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <set>
 
@@ -136,12 +137,17 @@ struct Driver {
           << "session keys disagree at step " << step_no;
     }
 
-    // rcv prefix of snd (compare encoded bodies).
+    // rcv prefix of snd (compare encoded bodies). Both sides retain only a
+    // window, so compare by absolute position over the retained overlap.
     const auto& rcv = member.rcv_log();
     const auto& snd = leader.snd_log();
-    ASSERT_LE(rcv.size(), snd.size()) << "step " << step_no;
-    for (std::size_t i = 0; i < rcv.size(); ++i) {
-      ASSERT_EQ(wire::encode(rcv[i]), wire::encode(snd[i]))
+    ASSERT_LE(member.rcv_count(), leader.snd_count()) << "step " << step_no;
+    const std::uint64_t rcv_first = member.rcv_count() - rcv.size();
+    const std::uint64_t snd_first = leader.snd_count() - snd.size();
+    for (std::uint64_t i = std::max(rcv_first, snd_first);
+         i < member.rcv_count(); ++i) {
+      ASSERT_EQ(wire::encode(rcv[i - rcv_first]),
+                wire::encode(snd[i - snd_first]))
           << "admin order/duplication broken at step " << step_no;
     }
 

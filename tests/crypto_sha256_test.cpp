@@ -91,5 +91,25 @@ TEST_P(Sha256RandomCross, MatchesOpenSsl) {
 INSTANTIATE_TEST_SUITE_P(RandomLengths, Sha256RandomCross,
                          ::testing::Range(0, 24));
 
+// finish() pads inside the block buffer, so every buffered length at the
+// moment of finishing (0-63, including the 56-63 range that spills into a
+// second padding block) must match OpenSSL, whatever the split before it.
+TEST(Sha256, PaddingAtEveryBufferedLengthMatchesOpenSsl) {
+  DeterministicRng rng(0x5A256);
+  const Bytes msg = rng.bytes(129);
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    unsigned char ref[SHA256_DIGEST_LENGTH];
+    SHA256(msg.data(), len, ref);
+    for (std::size_t split = 0; split <= len; ++split) {
+      Sha256 h;
+      h.update({msg.data(), split});
+      h.update({msg.data() + split, len - split});
+      auto mine = h.finish();
+      ASSERT_TRUE(std::equal(mine.begin(), mine.end(), ref))
+          << "len " << len << " split " << split;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace enclaves::crypto

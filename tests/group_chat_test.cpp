@@ -99,18 +99,36 @@ TEST(GroupChat, PresencePropagatesAndFollowsRoster) {
   ChatWorld w(2);
   auto& alice = w.add("alice");
   auto& bob = w.add("bob");
+  auto& carol = w.add("carol");
 
   ASSERT_TRUE(alice.set_presence("reviewing the paper").ok());
+  ASSERT_TRUE(bob.set_presence("online").ok());
+  ASSERT_TRUE(carol.set_presence("away").ok());
   w.net.run();
   ASSERT_EQ(bob.presence().count("alice"), 1u);
   EXPECT_EQ(bob.presence().at("alice"), "reviewing the paper");
+  EXPECT_EQ(bob.presence().size(), 3u);
 
-  // Alice leaves; her presence entry disappears from bob's map when the
-  // authenticated roster update arrives.
+  // Alice leaves; her presence entry (and only hers) disappears from the
+  // others' maps when the authenticated departure notice arrives.
   ASSERT_TRUE(w.members["alice"]->leave().ok());
   w.net.run();
-  EXPECT_EQ(bob.presence().count("alice"), 0u);
-  EXPECT_EQ(bob.roster(), std::vector<std::string>{"bob"});
+  for (auto* chat : {&bob, &carol}) {
+    EXPECT_EQ(chat->presence().count("alice"), 0u);
+    EXPECT_EQ(chat->presence().at("bob"), "online");
+    EXPECT_EQ(chat->presence().at("carol"), "away");
+  }
+  EXPECT_EQ(bob.roster(), (std::vector<std::string>{"bob", "carol"}));
+
+  // She rejoins (her view is replaced wholesale) and publishes again.
+  ASSERT_TRUE(w.members["alice"]->join().ok());
+  w.net.run();
+  ASSERT_TRUE(alice.set_presence("back").ok());
+  w.net.run();
+  EXPECT_EQ(bob.presence().at("alice"), "back");
+  EXPECT_EQ(alice.presence().at("alice"), "back");
+  EXPECT_EQ(alice.roster(),
+            (std::vector<std::string>{"alice", "bob", "carol"}));
 }
 
 TEST(GroupChat, RosterTracksMembershipNotClaims) {

@@ -176,6 +176,39 @@ TEST_F(LeaderFsm, AckReleasesNextQueuedAdmin) {
   EXPECT_EQ(leader.acked_count(), 2u);
 }
 
+// snd_A is kept as a window plus an exact count (core/admin_history.h):
+// far past the window, only the last kAdminHistoryWindow bodies stay, the
+// count still covers every one, and closing empties both.
+TEST_F(LeaderFsm, SndLogKeepsLastWindowAndExactCount) {
+  handshake();
+  const std::size_t total = 3 * kAdminHistoryWindow + 7;
+  for (std::size_t i = 0; i < total; ++i) {
+    auto admin = leader.submit_admin(wire::Notice{std::to_string(i)});
+    ASSERT_TRUE(admin.has_value());
+    auto out = member.handle(*admin);
+    ASSERT_TRUE(out.ok());
+    ASSERT_TRUE(leader.handle(*out->reply).ok());
+  }
+  EXPECT_EQ(leader.snd_count(), total);
+  EXPECT_EQ(leader.acked_count(), total);
+  ASSERT_EQ(leader.snd_log().size(), kAdminHistoryWindow);
+  const std::size_t first = total - kAdminHistoryWindow;
+  for (std::size_t j = 0; j < kAdminHistoryWindow; ++j)
+    EXPECT_EQ(std::get<wire::Notice>(leader.snd_log()[j]).text,
+              std::to_string(first + j));
+  // The member's retained rcv_A tail is the same window, position by
+  // position.
+  EXPECT_EQ(member.rcv_count(), leader.snd_count());
+  ASSERT_EQ(member.rcv_log().size(), leader.snd_log().size());
+  for (std::size_t j = 0; j < kAdminHistoryWindow; ++j)
+    EXPECT_EQ(wire::encode(member.rcv_log()[j]),
+              wire::encode(leader.snd_log()[j]));
+
+  ASSERT_TRUE(leader.handle(*member.request_close()).ok());
+  EXPECT_TRUE(leader.snd_log().empty());
+  EXPECT_EQ(leader.snd_count(), 0u);
+}
+
 TEST_F(LeaderFsm, AdminQueuedDuringHandshakeFlushesOnAuth) {
   auto init = member.start_join();
   auto dist = leader.handle(*init);

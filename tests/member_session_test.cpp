@@ -147,6 +147,31 @@ TEST_F(MemberFsm, AdminChainProcessesManyMessagesInOrder) {
   }
 }
 
+// rcv_A is kept as a window plus an exact count (core/admin_history.h):
+// far past the window, only the last kAdminHistoryWindow bodies stay, the
+// count still covers every one, and leaving empties both.
+TEST_F(MemberFsm, RcvLogKeepsLastWindowAndExactCount) {
+  handshake();
+  const std::size_t total = 3 * kAdminHistoryWindow + 7;
+  for (std::size_t i = 0; i < total; ++i) {
+    auto admin = leader.submit_admin(wire::Notice{std::to_string(i)});
+    ASSERT_TRUE(admin.has_value());
+    auto out = member.handle(*admin);
+    ASSERT_TRUE(out.ok());
+    ASSERT_TRUE(leader.handle(*out->reply).ok());
+  }
+  EXPECT_EQ(member.rcv_count(), total);
+  ASSERT_EQ(member.rcv_log().size(), kAdminHistoryWindow);
+  const std::size_t first = total - kAdminHistoryWindow;
+  for (std::size_t j = 0; j < kAdminHistoryWindow; ++j)
+    EXPECT_EQ(std::get<wire::Notice>(member.rcv_log()[j]).text,
+              std::to_string(first + j));
+
+  ASSERT_TRUE(member.request_close().ok());
+  EXPECT_TRUE(member.rcv_log().empty());
+  EXPECT_EQ(member.rcv_count(), 0u);
+}
+
 TEST_F(MemberFsm, ReplayedAdminMessageRejected) {
   handshake();
   auto admin = leader.submit_admin(wire::Notice{"once"});

@@ -59,8 +59,8 @@ TEST_P(Storm, EstablishedGroupSurvivesStormUnchanged) {
   // Snapshot of the honest state.
   const auto members_before = w.leader.members();
   const auto epoch_before = w.leader.epoch();
-  std::map<std::string, std::size_t> rcv_before;
-  for (const auto& [id, m] : w.members) rcv_before[id] = m->rcv_log().size();
+  std::map<std::string, std::uint64_t> rcv_before;
+  for (const auto& [id, m] : w.members) rcv_before[id] = m->rcv_count();
 
   DeterministicRng attacker_rng(GetParam() ^ 0x570);
   StormAttacker storm(w.net, attacker_rng,
@@ -75,7 +75,7 @@ TEST_P(Storm, EstablishedGroupSurvivesStormUnchanged) {
     EXPECT_TRUE(m->connected()) << id;
     EXPECT_EQ(m->epoch(), epoch_before) << id;
     EXPECT_EQ(m->view(), members_before) << id;
-    EXPECT_EQ(m->rcv_log().size(), rcv_before[id]) << id;
+    EXPECT_EQ(m->rcv_count(), rcv_before[id]) << id;
   }
   EXPECT_EQ(storm.stats().total(), 2000u);
 }

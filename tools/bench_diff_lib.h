@@ -17,13 +17,19 @@
 //     candidate fails (PROF_SCOPE silently lost, or the path stopped
 //     firing). Per-call self-time drift beyond the tolerance warns, like
 //     ns/op: wall-clock attribution, not wall-clock gating.
+//   - ratio rules ("A/B<=X"): within ONE blob, the real time of benchmark
+//     A over that of benchmark B must not exceed X. Both rows come from the
+//     same run on the same machine, so unlike absolute ns/op these fail
+//     CI: they gate scaling shapes (a join into 1024 members vs 256).
 //
 // Header-only so the unit tests exercise exactly what the binary runs.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -156,6 +162,61 @@ enum class CounterMode {
   exact,     // values must match bit-for-bit
 };
 
+/// A within-blob scaling gate, written "A/B<=X". Benchmark names contain
+/// '/' themselves, so the split between A and B is resolved against the
+/// blob: the first '/' whose two sides both name rows in it.
+struct RatioRule {
+  std::string expr;  // "A/B" as written
+  double max = 0;
+
+  static Result<RatioRule> parse(std::string_view text) {
+    const auto at = text.rfind("<=");
+    if (at == std::string_view::npos)
+      return make_error(Errc::malformed, "ratio rule needs '<=': " +
+                                             std::string(text));
+    RatioRule rule;
+    rule.expr = std::string(text.substr(0, at));
+    const std::string limit(text.substr(at + 2));
+    char* end = nullptr;
+    rule.max = std::strtod(limit.c_str(), &end);
+    if (limit.empty() || *end != '\0' || !(rule.max > 0))
+      return make_error(Errc::malformed, "ratio limit must be a positive "
+                                         "number: " + std::string(text));
+    const auto slash = rule.expr.find('/', 1);
+    if (slash == std::string::npos || slash + 1 >= rule.expr.size())
+      return make_error(Errc::malformed, "ratio rule needs A/B: " +
+                                             std::string(text));
+    return rule;
+  }
+};
+
+namespace diff_detail {
+
+inline double ns_per_unit(const std::string& unit) {
+  if (unit == "us") return 1e3;
+  if (unit == "ms") return 1e6;
+  if (unit == "s") return 1e9;
+  return 1;
+}
+
+/// Real time of benchmark `name` in ns: its "_median" aggregate when the
+/// run had --benchmark_repetitions, else the median of its rows.
+inline std::optional<double> row_ns(const BenchBlob& blob,
+                                    const std::string& name) {
+  std::vector<double> times;
+  for (const BenchResult& r : blob.results) {
+    const double ns = r.real_time * ns_per_unit(r.time_unit);
+    if (r.name == name + "_median") return ns;
+    if (r.name == name) times.push_back(ns);
+  }
+  if (times.empty()) return std::nullopt;
+  std::sort(times.begin(), times.end());
+  const std::size_t mid = times.size() / 2;
+  return times.size() % 2 ? times[mid] : (times[mid - 1] + times[mid]) / 2;
+}
+
+}  // namespace diff_detail
+
 struct DiffOptions {
   double time_tolerance = 0.30;  // candidate may be 30% slower before noise
   CounterMode counters = CounterMode::presence;
@@ -164,6 +225,8 @@ struct DiffOptions {
   // scope warns (wall clocks differ across machines — presence is the
   // load-bearing check, attribution drift is advisory).
   double self_time_tolerance = 0.50;
+  // Within-candidate scaling gates; a broken rule fails.
+  std::vector<RatioRule> ratios;
 };
 
 struct DiffReport {
@@ -182,6 +245,35 @@ struct DiffReport {
     return out;
   }
 };
+
+/// Appends one failure (rule broken, or a benchmark missing) or one note
+/// (rule held) per ratio rule, evaluated inside `blob`.
+inline void check_ratios(const BenchBlob& blob,
+                         const std::vector<RatioRule>& rules,
+                         DiffReport& report) {
+  for (const RatioRule& rule : rules) {
+    std::optional<double> num, den;
+    std::string a, b;
+    for (auto slash = rule.expr.find('/', 1);
+         slash != std::string::npos && !(num && den);
+         slash = rule.expr.find('/', slash + 1)) {
+      a = rule.expr.substr(0, slash);
+      b = rule.expr.substr(slash + 1);
+      num = diff_detail::row_ns(blob, a);
+      den = diff_detail::row_ns(blob, b);
+    }
+    if (!num || !den || !(*den > 0)) {
+      report.failures.push_back("ratio " + rule.expr +
+                                ": no split names two benchmarks in the blob");
+      continue;
+    }
+    const double ratio = *num / *den;
+    char buf[512];
+    std::snprintf(buf, sizeof buf, "ratio %s / %s = %.2f (limit %.2f)",
+                  a.c_str(), b.c_str(), ratio, rule.max);
+    (ratio > rule.max ? report.failures : report.notes).push_back(buf);
+  }
+}
 
 inline std::string format_key(const obs::MetricKey& key) {
   return key.group + "/" + key.agent + "/" + key.name;
@@ -295,6 +387,8 @@ inline DiffReport diff_blobs(const BenchBlob& baseline,
     if (stat.count > 0 && !baseline.profile.scopes.count(path))
       report.notes.push_back("new profile scope: " + path);
   }
+
+  check_ratios(candidate, opts.ratios, report);
   return report;
 }
 
